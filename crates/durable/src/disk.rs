@@ -12,6 +12,7 @@
 //! recovery would read back — so torn-tail, bit-flip, and lost-segment
 //! scenarios exercise the same code paths as genuine media faults.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 /// A named-file byte store with committed/pending separation.
@@ -39,10 +40,16 @@ impl SimDisk {
     }
 
     /// The simulated `fsync`: folds every pending overlay into the
-    /// committed image.
+    /// committed image. An overlay for a file not yet committed moves
+    /// in whole instead of being copied.
     pub fn sync(&mut self) {
         for (file, bytes) in std::mem::take(&mut self.pending) {
-            self.committed.entry(file).or_default().extend(bytes);
+            match self.committed.entry(file) {
+                Entry::Vacant(slot) => {
+                    slot.insert(bytes);
+                }
+                Entry::Occupied(mut slot) => slot.get_mut().extend_from_slice(&bytes),
+            }
         }
         self.syncs += 1;
     }

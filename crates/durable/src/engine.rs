@@ -38,10 +38,12 @@
 //! byte-identical between the serial and parallel drivers.
 
 use crate::disk::SimDisk;
-use crate::record::{decode_framed, decode_record, encode_framed, encode_record_into, WalRecord};
+use crate::record::{
+    decode_framed, decode_record, encode_framed_into, encode_record_into, WalRecord,
+};
 use crate::Durable;
 use pmp_telemetry::{Sink, Subsystem};
-use pmp_wire::wire_struct;
+use pmp_wire::{wire_struct, Wire, Writer};
 use std::collections::BTreeMap;
 use std::time::Instant;
 
@@ -374,6 +376,7 @@ impl DurableEngine {
     /// deleted. Flushes any buffered records first.
     pub fn checkpoint(&mut self, states: &[&dyn Durable]) {
         self.commit();
+        let start = Instant::now();
         let mut namespaces = BTreeMap::new();
         for state in states {
             namespaces.insert(state.namespace().to_string(), state.snapshot_bytes());
@@ -382,8 +385,15 @@ impl DurableEngine {
             next_seq: self.next_seq,
             namespaces,
         };
-        let mut framed = Vec::new();
-        encode_framed(&pmp_wire::to_bytes(&snap), &mut framed);
+        // One encode pass straight into the frame, one CRC pass over it.
+        let body_hint: usize = snap
+            .namespaces
+            .iter()
+            .map(|(ns, b)| ns.len() + b.len() + 20)
+            .sum();
+        let mut w = Writer::with_capacity(body_hint + 24);
+        encode_framed_into(&mut w, |w| snap.encode(w));
+        let framed = w.into_bytes();
         let snap_name = snapshot_file(self.next_seq);
         let snap_bytes = framed.len();
         self.disk.append(&snap_name, &framed);
@@ -405,6 +415,8 @@ impl DurableEngine {
 
         if let Some(sink) = &self.sink {
             sink.inc("durable.snapshot.count");
+            sink.record("durable.snapshot.ns", start.elapsed().as_nanos() as u64);
+            sink.record("durable.snapshot.bytes", snap_bytes as u64);
             sink.event(
                 Subsystem::Durable,
                 "snapshot",
@@ -978,6 +990,22 @@ mod tests {
         assert_eq!(shared.counter_value("durable.wal.commits"), 1);
         assert_eq!(shared.counter_value("durable.snapshot.count"), 1);
         assert_eq!(shared.counter_value("durable.recover.count"), 1);
+        // Checkpoint cost is wall-clock histograms only, never events.
+        let snap_len: usize = engine
+            .disk()
+            .files_with_prefix("snap/")
+            .iter()
+            .map(|f| engine.disk().len(f))
+            .sum();
+        shared.with(|t| {
+            let bytes = t
+                .registry
+                .histogram_by_name("durable.snapshot.bytes")
+                .unwrap();
+            assert_eq!((bytes.count(), bytes.sum()), (1, snap_len as u64));
+            let ns = t.registry.histogram_by_name("durable.snapshot.ns").unwrap();
+            assert_eq!(ns.count(), 1);
+        });
         let names: Vec<String> = shared.with(|t| {
             t.journal
                 .events()

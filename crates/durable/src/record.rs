@@ -18,7 +18,7 @@
 //! snapshot files reuse the same framing around a snapshot body.
 
 use crate::crc::Crc32;
-use pmp_wire::{wire_struct, WireError};
+use pmp_wire::{wire_struct, Wire, WireError, Writer};
 
 /// Upper bound on a single frame body. Far above any real record, low
 /// enough that a corrupt length prefix cannot demand a huge allocation.
@@ -191,21 +191,27 @@ pub fn encode_record(rec: &WalRecord, out: &mut Vec<u8>) {
     encode_framed(&pmp_wire::to_bytes(rec), out);
 }
 
-/// Appends a framed [`WalRecord`] directly into `w` — the
+/// Appends one frame to `w` whose body is whatever `body` writes — the
 /// allocation-free encode path. The length prefix is reserved and
 /// patched in place instead of encoding the body into an intermediate
-/// `Vec` first; byte-for-byte identical to [`encode_record`].
-pub fn encode_record_into(rec: &WalRecord, w: &mut pmp_wire::Writer) {
-    use pmp_wire::Wire;
+/// `Vec` first; byte-for-byte identical to [`encode_framed`] of the same
+/// body bytes.
+pub fn encode_framed_into(w: &mut Writer, body: impl FnOnce(&mut Writer)) {
     let frame_start = w.mark();
     let slot = w.reserve_u32();
-    rec.encode(w);
+    body(w);
     let body_len = w.mark() - slot - 4;
     debug_assert!(body_len <= MAX_FRAME_BODY);
     w.patch_u32(slot, body_len as u32);
     let mut h = Crc32::new();
     h.update(w.bytes_from(frame_start));
     w.put_u32(h.finish());
+}
+
+/// Appends a framed [`WalRecord`] directly into `w`; byte-for-byte
+/// identical to [`encode_record`].
+pub fn encode_record_into(rec: &WalRecord, w: &mut Writer) {
+    encode_framed_into(w, |w| rec.encode(w));
 }
 
 /// Reads the framed [`WalRecord`] starting at `offset`; `Ok(None)` at

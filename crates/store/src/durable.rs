@@ -8,6 +8,7 @@
 
 use crate::movement::{MovementRecord, MovementStore};
 use pmp_durable::{Durable, DurableError};
+use pmp_wire::{Wire, Writer};
 
 /// The WAL namespace owned by the movement store.
 pub const NAMESPACE: &str = "store.movements";
@@ -26,10 +27,15 @@ impl Durable for MovementStore {
         NAMESPACE
     }
 
+    /// The bytes of `to_bytes(&Vec<MovementRecord>)` over the table in
+    /// insertion order, encoded from the rows by reference.
     fn snapshot_bytes(&self) -> Vec<u8> {
-        let records: Vec<MovementRecord> =
-            self.table().iter().map(|(_, _, r)| r.clone()).collect();
-        pmp_wire::to_bytes(&records)
+        let mut w = Writer::new();
+        w.put_varu64(self.len() as u64);
+        for (_, _, r) in self.table().iter() {
+            r.encode(&mut w);
+        }
+        w.into_bytes()
     }
 
     fn restore_snapshot(&mut self, bytes: &[u8]) -> Result<(), DurableError> {
@@ -76,6 +82,31 @@ mod tests {
         assert_eq!(restored.by_robot("r1").len(), 2);
         assert_eq!(restored.robots(), ["r1", "r2"]);
         assert_eq!(restored.state_digest(), live.state_digest());
+    }
+
+    #[test]
+    fn snapshot_bytes_match_the_cloned_per_element_encoding() {
+        let mut live = MovementStore::new();
+        for i in 0..3000u64 {
+            let mut r = rec(&format!("robot:{}:1", i % 16), i as i64 - 1500, i * 7);
+            r.args = (0..i % 5).map(|a| a as i64 * 1000).collect();
+            live.append(r);
+        }
+        // The construction `snapshot_bytes` replaced: clone every row,
+        // then encode the vector with the per-element loop.
+        let rows: Vec<MovementRecord> = live.table().iter().map(|(_, _, r)| r.clone()).collect();
+        let mut w = Writer::new();
+        w.put_varu64(rows.len() as u64);
+        for r in &rows {
+            r.encode(&mut w);
+        }
+        let reference = w.into_bytes();
+        assert_eq!(pmp_wire::to_bytes(&rows), reference);
+        assert_eq!(live.snapshot_bytes(), reference);
+        assert_eq!(
+            MovementStore::new().snapshot_bytes(),
+            pmp_wire::to_bytes(&Vec::<MovementRecord>::new())
+        );
     }
 
     #[test]

@@ -36,6 +36,21 @@ pub trait Wire {
     fn decode(r: &mut Reader) -> Result<Self, WireError>
     where
         Self: Sized;
+
+    /// Appends the encodings of `items` back to back, with no count
+    /// prefix; `Vec<T>` encodes its elements through this. The result
+    /// must equal encoding each item in turn. `u8` overrides it with
+    /// one raw copy, so a byte vector costs a `memcpy`, not a push per
+    /// byte. Decoding stays per element, so error offsets are unchanged.
+    #[doc(hidden)]
+    fn encode_slice(items: &[Self], w: &mut Writer)
+    where
+        Self: Sized,
+    {
+        for item in items {
+            item.encode(w);
+        }
+    }
 }
 
 macro_rules! wire_int {
@@ -51,7 +66,18 @@ macro_rules! wire_int {
     };
 }
 
-wire_int!(u8, put_u8, get_u8);
+impl Wire for u8 {
+    fn encode(&self, w: &mut Writer) {
+        w.put_u8(*self);
+    }
+    fn decode(r: &mut Reader) -> Result<Self, WireError> {
+        r.get_u8()
+    }
+    fn encode_slice(items: &[u8], w: &mut Writer) {
+        w.put_raw(items);
+    }
+}
+
 wire_int!(u16, put_u16, get_u16);
 wire_int!(u32, put_u32, get_u32);
 wire_int!(u64, put_u64, get_u64);
@@ -108,9 +134,7 @@ impl Wire for String {
 impl<T: Wire> Wire for Vec<T> {
     fn encode(&self, w: &mut Writer) {
         w.put_varu64(self.len() as u64);
-        for item in self {
-            item.encode(w);
-        }
+        T::encode_slice(self, w);
     }
     fn decode(r: &mut Reader) -> Result<Self, WireError> {
         let len = r.get_len()?;
@@ -258,6 +282,47 @@ mod tests {
         w.put_u32(2);
         let bytes = w.into_bytes();
         assert!(crate::from_bytes::<BTreeMap<String, u32>>(&bytes).is_err());
+    }
+
+    /// The per-element loop `Vec<T>::encode` used before
+    /// [`Wire::encode_slice`]: the reference the fast paths must match.
+    fn per_element<T: Wire>(items: &[T]) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.put_varu64(items.len() as u64);
+        for item in items {
+            item.encode(&mut w);
+        }
+        w.into_bytes()
+    }
+
+    #[test]
+    fn byte_vectors_encode_like_put_bytes() {
+        for len in [0usize, 1, 127, 128, 16_383, 16_384, 100_000] {
+            let bytes: Vec<u8> = (0..len).map(|i| (i * 31 + 7) as u8).collect();
+            let mut w = Writer::new();
+            w.put_bytes(&bytes);
+            let expected = w.into_bytes();
+            assert_eq!(crate::to_bytes(&bytes), expected, "length {len}");
+            assert_eq!(per_element(&bytes), expected, "length {len}");
+            assert_eq!(crate::from_bytes::<Vec<u8>>(&expected).unwrap(), bytes);
+        }
+    }
+
+    #[test]
+    fn other_vectors_encode_like_the_per_element_loop() {
+        let strings: Vec<String> = (0..300).map(|i| "x".repeat(i % 17)).collect();
+        assert_eq!(crate::to_bytes(&strings), per_element(&strings));
+        let nested: Vec<Vec<u8>> = (0..40).map(|i| vec![i as u8; i * 5]).collect();
+        assert_eq!(crate::to_bytes(&nested), per_element(&nested));
+        let samples: Vec<Sample> = (0..50)
+            .map(|i| Sample {
+                a: i,
+                b: format!("s{i}"),
+                c: vec![u64::from(i); i as usize % 4],
+                d: (i % 2 == 0).then_some(-i64::from(i)),
+            })
+            .collect();
+        assert_eq!(crate::to_bytes(&samples), per_element(&samples));
     }
 
     // Property tests need the external `proptest` crate; the offline

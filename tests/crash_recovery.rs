@@ -9,9 +9,19 @@
 //! to a clean prefix instead of panicking.
 
 use pmp::core::{Driver, ParallelDriver, ProductionHalls, SerialDriver};
-use pmp::durable::RecoverReport;
+use pmp::durable::record::encode_framed;
+use pmp::durable::{Durable, RecoverReport};
+use pmp::store::MovementRecord;
+use pmp::wire::{Wire, Writer};
+use std::collections::BTreeMap;
 
 const SEC: u64 = 1_000_000_000;
+
+/// Length and FNV-1a 64 hash of the snapshot file that
+/// `snapshot_file_is_byte_identical_to_the_reference_construction`
+/// checkpoints, recorded with the clone-then-encode checkpoint.
+const SNAPSHOT_LEN: usize = 189_102;
+const SNAPSHOT_FNV: u64 = 0x5860_7f24_75ea_9449;
 
 /// Pre-crash fingerprint of everything the base must get back.
 #[derive(Debug, PartialEq)]
@@ -206,4 +216,93 @@ fn bit_flip_stops_replay_at_the_snapshot_baseline() {
 
     // No panic, and the platform pumps on.
     w.platform.pump(6 * SEC);
+}
+
+/// FNV-1a 64 over `bytes`: a pin that shares no code with the wire
+/// encoder or the CRC under test.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Writes `blob` as a `Vec<u8>` was encoded before byte slices became a
+/// single copy: the count, then one `put_u8` per element.
+fn put_blob_per_byte(w: &mut Writer, blob: &[u8]) {
+    w.put_varu64(blob.len() as u64);
+    for &b in blob {
+        w.put_u8(b);
+    }
+}
+
+#[test]
+fn snapshot_file_is_byte_identical_to_the_reference_construction() {
+    let mut w = warmed_world(31, Box::new(SerialDriver));
+    let base = w.platform.base_mut(w.base_a);
+    for i in 0..4000u64 {
+        base.record_movement(MovementRecord {
+            robot: format!("robot:{}:1", i % 16),
+            device: "motor:x".into(),
+            command: if i % 4 == 0 { "rotate" } else { "position" }.into(),
+            args: (0..i % 4).map(|a| (a * i) as i64 - 2000).collect(),
+            issued_at: 1_000_000 * i,
+            duration_ns: 100 + i,
+        });
+    }
+    w.platform.checkpoint_base(w.base_a);
+
+    let b = w.platform.base(w.base_a);
+    assert!(b.store.len() > 4000, "store holds {} rows", b.store.len());
+    let (next_seq, snaps) = b
+        .durable
+        .with(|e| (e.next_seq(), e.disk().files_with_prefix("snap/")));
+    assert_eq!(snaps.len(), 1, "compaction keeps one snapshot: {snaps:?}");
+    let on_disk = b
+        .durable
+        .with(|e| e.disk().read(&snaps[0]).unwrap().to_vec());
+
+    // Length and hash of this file as written by the per-record-clone,
+    // per-byte encoder and bytewise CRC that preceded the one-pass
+    // checkpoint. They cover every namespace blob, the frame and its CRC.
+    assert_eq!(
+        (on_disk.len(), fnv1a(&on_disk)),
+        (SNAPSHOT_LEN, SNAPSHOT_FNV),
+        "snapshot bytes moved"
+    );
+
+    // The construction checkpoints used before encoding in place: clone
+    // every movement row and encode the clones one by one, encode the
+    // snapshot body on its own with byte blobs written per byte, then
+    // copy it into a frame.
+    let rows: Vec<MovementRecord> = b.store.range(0, u64::MAX).into_iter().cloned().collect();
+    let mut store_blob = Writer::new();
+    store_blob.put_varu64(rows.len() as u64);
+    for row in &rows {
+        row.encode(&mut store_blob);
+    }
+    let mut namespaces = BTreeMap::new();
+    namespaces.insert(b.store.namespace().to_string(), store_blob.into_bytes());
+    for state in [&b.base as &dyn Durable, &b.flight, &b.rpc] {
+        namespaces.insert(state.namespace().to_string(), state.snapshot_bytes());
+    }
+    assert_eq!(namespaces.len(), 4, "store, base, flight and rpc");
+    let mut body = Writer::new();
+    next_seq.encode(&mut body);
+    body.put_varu64(namespaces.len() as u64);
+    for (ns, blob) in &namespaces {
+        body.put_str(ns);
+        put_blob_per_byte(&mut body, blob);
+    }
+    let mut reference = Vec::new();
+    encode_framed(body.as_bytes(), &mut reference);
+    assert_eq!(on_disk, reference, "snapshot bytes moved");
+
+    // Nothing was logged after the checkpoint, so recovery restores the
+    // whole base from that one file.
+    let digest = b.durable_digest();
+    w.platform.crash_base(w.base_a);
+    let report = w.platform.restart_base(w.base_a);
+    assert_eq!(report.snapshot_seq, Some(next_seq));
+    assert_eq!(report.replayed, 0, "{report:?}");
+    assert_eq!(w.platform.base(w.base_a).durable_digest(), digest);
 }

@@ -165,6 +165,8 @@ fn telemetry_agrees_with_legacy_stats() {
         vec![0, 0, 10, 0],
     );
     w.platform.pump(2 * SEC);
+    // A manual checkpoint, so the snapshot path's samples exist too.
+    w.platform.checkpoint_base(w.base_a);
 
     // The network counters mirrored into the shared registry must agree
     // exactly with the simulator's legacy `NetStats`.
@@ -213,6 +215,16 @@ fn telemetry_agrees_with_legacy_stats() {
             .histogram_by_name("durable.wal.append_ns")
             .expect("append latency recorded");
         assert_eq!(append_ns.count(), appends);
+        // Every checkpoint records its wall time and file size.
+        let snapshots = t.registry.counter_value("durable.snapshot.count");
+        assert!(snapshots > 0, "the base checkpointed");
+        for name in ["durable.snapshot.ns", "durable.snapshot.bytes"] {
+            let h = t
+                .registry
+                .histogram_by_name(name)
+                .unwrap_or_else(|| panic!("{name} recorded"));
+            assert_eq!(h.count(), snapshots, "{name}: one sample per checkpoint");
+        }
     });
 
     // The journal carried the distribution trail and delivery events.

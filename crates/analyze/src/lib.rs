@@ -33,7 +33,7 @@
 //! a [`Severity`] threshold to accept/reject.
 //!
 //! Beyond admission, the crate also houses the *weave-time optimizer*
-//! ([`opt`], over [`cfg`] and [`lattice`]): after a package passes the
+//! ([`opt`], over [`mod@cfg`] and [`lattice`]): after a package passes the
 //! gate, the base may run interprocedural constant propagation,
 //! dead-code elimination, CHA devirtualisation, and hook-check
 //! hoisting over the advice bodies, re-verifying the optimized result

@@ -1,14 +1,14 @@
 //! # pmp-bench — fixtures for reproducing the paper's measurements
 //!
-//! Shared setups used by both the criterion benches (`benches/`) and
-//! the printable harness (`src/bin/harness.rs`). Each experiment Eⁿ is
+//! Shared setups used by the printable harness (`src/bin/harness.rs`)
+//! and the load generator (`src/bin/loadgen.rs`). Each experiment Eⁿ is
 //! indexed in `DESIGN.md` and recorded against the paper's numbers in
 //! `EXPERIMENTS.md`.
 
 use pmp_core::{MobId, Platform};
 use pmp_net::Position;
 use pmp_prose::{Aspect, Crosscut, PortableClass, PortableMethod, Prose, WeaveOptions};
-use pmp_spec::{Size, Suite};
+use pmp_spec::Suite;
 use pmp_vm::builder::MethodBuilder;
 use pmp_vm::class::ClassDef;
 use pmp_vm::op::Op;
@@ -37,13 +37,6 @@ pub fn suite_vm(hooks: bool) -> (Vm, Suite) {
     }
     let suite = Suite::register_all(&mut vm).expect("suite registers");
     (vm, suite)
-}
-
-/// Runs the whole suite once; returns total bytecode ops executed.
-pub fn run_suite(vm: &mut Vm, suite: &Suite, size: Size) -> u64 {
-    let before = vm.stats().bytecode_ops;
-    suite.run_all(vm, size).expect("suite runs");
-    vm.stats().bytecode_ops - before
 }
 
 // ---------------------------------------------------------------------
@@ -396,7 +389,7 @@ pub fn distribution_run(n: usize) -> DistributionResult {
     DistributionResult {
         nodes: n,
         time_to_all_adapted_s: p.now().as_secs_f64(),
-        messages: p.sim.trace.stats.sent,
+        messages: p.sim.trace.stats().sent,
     }
 }
 
@@ -1005,7 +998,8 @@ pub fn guard_package() -> pmp_midas::ExtensionPackage {
 /// A `Ping` VM with [`guard_package`] woven the way a receiver would
 /// install it: as shipped when `optimize` is false (the paper's
 /// behaviour), or through the base-side optimizer plus receiver-side
-/// hook hoisting when true ([`pmp_midas::ShipMode::Optimized`]).
+/// hook hoisting when true ([`pmp_midas::optimize_package`], as every
+/// base ships).
 pub fn ping_vm_shipped(optimize: bool) -> (Vm, Value) {
     let mut vm = Vm::new(VmConfig::default());
     vm.register_class(

@@ -1,7 +1,7 @@
 //! The differential-execution oracle for the weave-time optimizer.
 //!
-//! Bases ship extension packages optimized by default
-//! ([`pmp_midas::ShipMode::Optimized`]); the soundness claim is that an
+//! Bases always ship extension packages optimized
+//! ([`pmp_midas::optimize_package`]); the soundness claim is that an
 //! optimized advice body is *observationally identical* to the
 //! authored one. Translation validation (re-running the stack-depth
 //! verifier) proves the optimized body is well-formed; this oracle

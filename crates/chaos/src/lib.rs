@@ -6,7 +6,7 @@
 //! faults), the [`exec`] layer replays it against the real
 //! [`pmp_core::Platform`] under the serial or parallel driver, the
 //! [`oracle`] layer checks global invariants at every pump barrier,
-//! and failures are minimized by [`shrink`] and committed as
+//! and failures are minimized by [`shrink()`] and committed as
 //! [`repro`] files that CI replays forever.
 //!
 //! The pipeline end to end:

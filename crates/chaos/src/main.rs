@@ -143,7 +143,7 @@ fn main() {
             }
         };
         match repro::load(&bytes) {
-            Ok(sc) => {
+            Ok((sc, _)) => {
                 let (violations, trace, journal) = run_checked(&sc, args.driver);
                 report(path, trace, journal, &violations, args.quiet, &mut failures);
             }
@@ -181,7 +181,7 @@ fn main() {
             if let Some(dir) = &args.write_repro {
                 // Re-run the minimized scenario once to capture the
                 // flight-recorder dumps at the moment of failure, so
-                // the artifact carries what each node saw (v2 format).
+                // the artifact carries what each node saw.
                 let flight = catch_unwind(AssertUnwindSafe(|| {
                     exec::run(&min, args.driver.unwrap_or(DriverKind::Serial)).flight
                 }))
@@ -196,7 +196,7 @@ fn main() {
                     "repro"
                 };
                 let file = format!("{dir}/seed-{seed}.{ext}");
-                match std::fs::write(&file, repro::save_with_flight(&min, &flight)) {
+                match std::fs::write(&file, repro::save(&min, &flight)) {
                     Ok(()) => println!("  wrote {file}"),
                     Err(e) => println!("  could not write {file}: {e}"),
                 }

@@ -241,11 +241,10 @@ fn handle_rpc_retry(
     let Some(req) = station.rpc.take_timer(*token) else {
         return;
     };
-    let cfg = *station.rpc.config();
     let Some(call) = station.rpc.get(req) else {
         return; // resolved before the timer fired
     };
-    if call.attempts >= cfg.max_attempts {
+    if call.attempts >= crate::rpc::RPC_MAX_ATTEMPTS {
         let attempts = call.attempts;
         station.rpc.exhausted += 1;
         station.rpc.resolve(req);
@@ -277,7 +276,7 @@ fn handle_rpc_retry(
         RPC_CHANNEL,
         pmp_trace::TraceCtx::NIL.wrap(&msg),
     );
-    let delay = crate::rpc::backoff_delay(&cfg, req, attempts);
+    let delay = crate::rpc::backoff_delay(req, attempts);
     let token = port.set_timer(station.node, delay, crate::rpc::RPC_RETRY_TAG);
     station.rpc.arm(token, req);
 }

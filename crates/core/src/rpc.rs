@@ -57,26 +57,6 @@ impl InvocationSemantics {
             InvocationSemantics::AtLeastOnce => "at-least-once",
         }
     }
-
-    /// Decodes the wire tag used by scripts and messages.
-    #[must_use]
-    pub fn from_tag(tag: u8) -> InvocationSemantics {
-        match tag {
-            1 => InvocationSemantics::AtMostOnce,
-            2 => InvocationSemantics::AtLeastOnce,
-            _ => InvocationSemantics::Maybe,
-        }
-    }
-
-    /// The wire tag (inverse of [`InvocationSemantics::from_tag`]).
-    #[must_use]
-    pub fn tag(self) -> u8 {
-        match self {
-            InvocationSemantics::Maybe => 0,
-            InvocationSemantics::AtMostOnce => 1,
-            InvocationSemantics::AtLeastOnce => 2,
-        }
-    }
 }
 
 impl std::fmt::Display for InvocationSemantics {
@@ -87,7 +67,11 @@ impl std::fmt::Display for InvocationSemantics {
 
 impl Wire for InvocationSemantics {
     fn encode(&self, w: &mut Writer) {
-        w.put_u8(self.tag());
+        w.put_u8(match self {
+            InvocationSemantics::Maybe => 0,
+            InvocationSemantics::AtMostOnce => 1,
+            InvocationSemantics::AtLeastOnce => 2,
+        });
     }
     fn decode(r: &mut Reader) -> Result<Self, WireError> {
         match r.get_u8()? {
@@ -99,58 +83,38 @@ impl Wire for InvocationSemantics {
     }
 }
 
-/// Retry/timeout tuning shared by every base station's engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RpcConfig {
-    /// First-attempt timeout in simulated nanoseconds. Subsequent
-    /// attempts double it ([`backoff_delay`]).
-    pub timeout_ns: u64,
-    /// Total transmission budget (the initial send counts as attempt
-    /// 1); exhaustion resolves the call as a failed outcome.
-    pub max_attempts: u32,
-    /// Ceiling on any single backoff delay.
-    pub backoff_cap_ns: u64,
-    /// Upper bound on the deterministic per-attempt jitter added to
-    /// the exponential schedule (decorrelates retry bursts).
-    pub jitter_ns: u64,
-    /// Capacity of each mobile node's dedup table (FIFO eviction).
-    pub dedup_cap: usize,
-}
-
-impl Default for RpcConfig {
-    fn default() -> Self {
-        RpcConfig {
-            timeout_ns: 150_000_000,      // 150 ms: >> the ~1 ms link RTT
-            max_attempts: 8,
-            backoff_cap_ns: 2_000_000_000, // 2 s
-            jitter_ns: 10_000_000,         // 10 ms
-            dedup_cap: 256,
-        }
-    }
-}
+/// First-attempt timeout in simulated nanoseconds (150 ms, well above
+/// the ~1 ms link round trip). Later attempts double it
+/// ([`backoff_delay`]).
+pub const RPC_TIMEOUT_NS: u64 = 150_000_000;
+/// Total transmission budget (the initial send counts as attempt 1);
+/// exhaustion resolves the call as a failed outcome.
+pub const RPC_MAX_ATTEMPTS: u32 = 8;
+/// Ceiling on any single backoff delay (2 s).
+pub const RPC_BACKOFF_CAP_NS: u64 = 2_000_000_000;
+/// Upper bound on the deterministic per-attempt jitter added to the
+/// exponential schedule (10 ms; decorrelates retry bursts).
+pub const RPC_JITTER_NS: u64 = 10_000_000;
+/// Capacity of each mobile node's dedup table (FIFO eviction).
+pub const RPC_DEDUP_CAP: usize = 256;
 
 /// The retransmission delay before attempt `attempt + 1`, given that
 /// `attempt` transmissions have already happened (`attempt >= 1`).
 ///
-/// Pure function of `(cfg, req, attempt)`: exponential doubling from
-/// `cfg.timeout_ns`, capped at `cfg.backoff_cap_ns`, plus splitmix
-/// jitter seeded from the request id and attempt counter. No wall
-/// clock, no shared RNG — both drivers, any thread count, and a
-/// crash-restarted base all compute the identical schedule.
+/// Pure function of `(req, attempt)`: exponential doubling from
+/// [`RPC_TIMEOUT_NS`], capped at [`RPC_BACKOFF_CAP_NS`], plus splitmix
+/// jitter below [`RPC_JITTER_NS`] seeded from the request id and
+/// attempt counter. No wall clock, no shared RNG — both drivers, any
+/// thread count, and a crash-restarted base all compute the identical
+/// schedule.
 #[must_use]
-pub fn backoff_delay(cfg: &RpcConfig, req: u64, attempt: u32) -> u64 {
+pub fn backoff_delay(req: u64, attempt: u32) -> u64 {
     let shift = attempt.saturating_sub(1).min(20);
-    let base = cfg
-        .timeout_ns
+    let base = RPC_TIMEOUT_NS
         .saturating_mul(1u64 << shift)
-        .min(cfg.backoff_cap_ns.max(cfg.timeout_ns));
-    let jitter = if cfg.jitter_ns == 0 {
-        0
-    } else {
-        let mut rng = SimRng::new(req.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ u64::from(attempt));
-        rng.range_u64(cfg.jitter_ns)
-    };
-    base.saturating_add(jitter)
+        .min(RPC_BACKOFF_CAP_NS);
+    let mut rng = SimRng::new(req.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ u64::from(attempt));
+    base.saturating_add(rng.range_u64(RPC_JITTER_NS))
 }
 
 /// One outstanding (unresolved) call in the engine.
@@ -263,9 +227,6 @@ pub struct RpcEngine {
     /// Live timer token → request id (rebuilt after restart).
     timers: BTreeMap<u64, u64>,
     handle: Option<NamespaceHandle>,
-    /// Retry tuning. Operator state, not durable — the platform
-    /// re-applies it when it rebuilds a base.
-    cfg: RpcConfig,
     /// Retries sent (telemetry; not durable).
     pub retries: u64,
     /// Calls that exhausted their budget (telemetry; not durable).
@@ -282,17 +243,6 @@ impl RpcEngine {
     /// Wires the engine to its WAL namespace.
     pub fn attach(&mut self, handle: NamespaceHandle) {
         self.handle = Some(handle);
-    }
-
-    /// Replaces the retry tuning.
-    pub fn set_config(&mut self, cfg: RpcConfig) {
-        self.cfg = cfg;
-    }
-
-    /// The retry tuning in force.
-    #[must_use]
-    pub fn config(&self) -> &RpcConfig {
-        &self.cfg
     }
 
     fn log(&self, op: &CallOp) {
@@ -595,7 +545,7 @@ pub struct RpcServer {
 
 impl Default for RpcServer {
     fn default() -> Self {
-        RpcServer::new(RpcConfig::default().dedup_cap)
+        RpcServer::new(RPC_DEDUP_CAP)
     }
 }
 
@@ -670,25 +620,24 @@ mod tests {
                 pmp_wire::from_bytes::<InvocationSemantics>(&bytes).unwrap(),
                 sem
             );
-            assert_eq!(InvocationSemantics::from_tag(sem.tag()), sem);
         }
+        assert!(pmp_wire::from_bytes::<InvocationSemantics>(&[3]).is_err());
     }
 
     #[test]
     fn backoff_is_pure_exponential_and_capped() {
-        let cfg = RpcConfig::default();
         for req in [1u64, 17, 900] {
             for attempt in 1..=12u32 {
-                let a = backoff_delay(&cfg, req, attempt);
-                let b = backoff_delay(&cfg, req, attempt);
+                let a = backoff_delay(req, attempt);
+                let b = backoff_delay(req, attempt);
                 assert_eq!(a, b, "schedule must be pure");
-                assert!(a >= cfg.timeout_ns);
-                assert!(a <= cfg.backoff_cap_ns + cfg.jitter_ns);
+                assert!(a >= RPC_TIMEOUT_NS);
+                assert!(a <= RPC_BACKOFF_CAP_NS + RPC_JITTER_NS);
             }
         }
         // Doubling dominates the jitter for early attempts.
-        let d1 = backoff_delay(&cfg, 5, 1);
-        let d3 = backoff_delay(&cfg, 5, 3);
+        let d1 = backoff_delay(5, 1);
+        let d3 = backoff_delay(5, 3);
         assert!(d3 > d1);
     }
 
@@ -767,81 +716,79 @@ mod tests {
         assert_eq!(s.duplicate_at_most_once_executions(), 1);
         assert_eq!(s.delivered(InvocationSemantics::AtLeastOnce), 1);
     }
-}
 
-#[cfg(feature = "proptest")]
-mod props {
-    use super::*;
-    use pmp_durable::DurableHub;
-    use proptest::prelude::*;
+    // -- Seeded property suites: each case is one `SimRng` seed, so a
+    // failing case reproduces exactly from the seed in its message. --
 
-    /// One step of an adversarial delivery schedule.
-    #[derive(Debug, Clone)]
-    enum Event {
-        /// A (possibly duplicate) copy of call `idx` arrives.
-        Arrive(usize),
-        /// The node crashes and recovers from its WAL.
-        CrashRecover,
-    }
+    /// Seeded cases per property (proptest's default case count).
+    const CASES: u64 = 256;
 
-    fn event() -> impl Strategy<Value = Event> {
-        prop_oneof![
-            4 => (0usize..8).prop_map(Event::Arrive),
-            1 => Just(Event::CrashRecover),
-        ]
-    }
-
-    proptest! {
-        /// Under arbitrary retry/loss/crash interleavings — duplicate
-        /// arrivals in any order, crash/recover at any point — an
-        /// at-most-once request is executed at most once, as long as
-        /// the dedup table has capacity for the distinct ids in flight.
-        #[test]
-        fn dedup_never_reexecutes(events in proptest::collection::vec(event(), 1..64)) {
+    /// Under arbitrary retry/loss/crash interleavings — duplicate
+    /// arrivals in any order, crash/recover at any point — an
+    /// at-most-once request is executed at most once, as long as the
+    /// dedup table has capacity for the distinct ids in flight.
+    #[test]
+    fn dedup_never_reexecutes() {
+        for seed in 0..CASES {
+            let mut rng = SimRng::new(seed);
             let hub = DurableHub::new();
             let mut server = RpcServer::new(16);
             let h = hub.namespace(RPC_DEDUP_NAMESPACE);
             let mut executions = [0u32; 8];
-            for ev in events {
-                match ev {
-                    Event::Arrive(idx) => {
-                        let req = 100 + idx as u64;
-                        if server.dedup.lookup(req).is_none() {
-                            executions[idx] += 1;
-                            server.note_execution(req, InvocationSemantics::AtMostOnce);
-                            server.dedup.insert(req, true, format!("v{idx}"));
-                            h.append(RpcServer::dedup_record(req, true, &format!("v{idx}")));
-                            hub.commit();
-                        } else {
-                            server.dedup.hits += 1;
-                        }
+            for _ in 0..1 + rng.range_u64(63) {
+                // 4:1 arrivals (possibly duplicate copies of one of
+                // eight calls) to crash → recover from the WAL.
+                if rng.range_u64(5) < 4 {
+                    let idx = rng.range_u64(8) as usize;
+                    let req = 100 + idx as u64;
+                    if server.dedup.lookup(req).is_none() {
+                        executions[idx] += 1;
+                        server.note_execution(req, InvocationSemantics::AtMostOnce);
+                        server.dedup.insert(req, true, format!("v{idx}"));
+                        h.append(RpcServer::dedup_record(req, true, &format!("v{idx}")));
+                        hub.commit();
+                    } else {
+                        server.dedup.hits += 1;
                     }
-                    Event::CrashRecover => {
-                        hub.crash();
-                        let mut fresh = DedupTable::new(16);
-                        hub.recover(&mut [&mut fresh]);
-                        prop_assert_eq!(fresh.state_digest(), server.dedup.state_digest());
-                        server.dedup = fresh;
-                    }
+                } else {
+                    hub.crash();
+                    let mut fresh = DedupTable::new(16);
+                    hub.recover(&mut [&mut fresh]);
+                    assert_eq!(
+                        fresh.state_digest(),
+                        server.dedup.state_digest(),
+                        "seed {seed}: recovery lost dedup state"
+                    );
+                    server.dedup = fresh;
                 }
             }
             for n in executions {
-                prop_assert!(n <= 1, "at-most-once executed {n} times");
+                assert!(n <= 1, "seed {seed}: at-most-once executed {n} times");
             }
-            prop_assert_eq!(server.duplicate_at_most_once_executions(), 0);
+            assert_eq!(server.duplicate_at_most_once_executions(), 0, "seed {seed}");
         }
+    }
 
-        /// The backoff schedule is a pure function of its inputs: no
-        /// wall clock, no hidden state, monotone in the attempt number
-        /// up to the cap, and bounded by cap + jitter.
-        #[test]
-        fn backoff_is_deterministic(req in any::<u64>(), attempt in 1u32..16) {
-            let cfg = RpcConfig::default();
-            let a = backoff_delay(&cfg, req, attempt);
-            let b = backoff_delay(&cfg, req, attempt);
-            prop_assert_eq!(a, b);
-            prop_assert!(a >= cfg.timeout_ns);
-            prop_assert!(a <= cfg.backoff_cap_ns + cfg.jitter_ns);
+    /// The backoff schedule is a pure function of its inputs: no wall
+    /// clock, no hidden state, and bounded by the first timeout below
+    /// and cap + jitter above.
+    #[test]
+    fn backoff_is_deterministic() {
+        let mut rng = SimRng::new(0xB0FF);
+        for _ in 0..CASES {
+            let req = rng.next_u64();
+            let attempt = 1 + rng.range_u64(15) as u32;
+            let a = backoff_delay(req, attempt);
+            assert_eq!(
+                a,
+                backoff_delay(req, attempt),
+                "req {req} attempt {attempt}"
+            );
+            assert!(a >= RPC_TIMEOUT_NS, "req {req} attempt {attempt}");
+            assert!(
+                a <= RPC_BACKOFF_CAP_NS + RPC_JITTER_NS,
+                "req {req} attempt {attempt}"
+            );
         }
     }
 }

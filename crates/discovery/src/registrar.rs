@@ -23,13 +23,16 @@ pub enum RegistrarEvent {
     Cancelled(ServiceItem),
 }
 
+/// Multicast announce interval (0.5 s); leases are swept every half
+/// interval.
+pub const ANNOUNCE_INTERVAL_NS: u64 = 500_000_000;
+
 /// The registrar state machine. Drive it by passing every [`Incoming`]
 /// of its host node to [`Registrar::handle`].
 #[derive(Debug)]
 pub struct Registrar {
     node: NodeId,
     name: String,
-    announce_interval_ns: u64,
     services: HashMap<ServiceId, (ServiceItem, Lease)>,
     counter: u32,
     started: bool,
@@ -48,7 +51,6 @@ impl Registrar {
         Self {
             node,
             name: name.into(),
-            announce_interval_ns: 500_000_000, // 0.5 s
             services: HashMap::new(),
             counter: 0,
             started: false,
@@ -132,11 +134,6 @@ impl Registrar {
         }
     }
 
-    /// Overrides the multicast announce interval.
-    pub fn set_announce_interval(&mut self, ns: u64) {
-        self.announce_interval_ns = ns;
-    }
-
     /// Starts announcing and lease sweeping. Idempotent.
     pub fn start(&mut self, sim: &mut dyn NetPort) {
         if self.started {
@@ -144,10 +141,8 @@ impl Registrar {
         }
         self.started = true;
         self.announce(sim);
-        self.announce_token =
-            Some(sim.set_timer(self.node, self.announce_interval_ns, ANNOUNCE_TAG));
-        self.sweep_token =
-            Some(sim.set_timer(self.node, self.announce_interval_ns / 2, SWEEP_TAG));
+        self.announce_token = Some(sim.set_timer(self.node, ANNOUNCE_INTERVAL_NS, ANNOUNCE_TAG));
+        self.sweep_token = Some(sim.set_timer(self.node, ANNOUNCE_INTERVAL_NS / 2, SWEEP_TAG));
     }
 
     fn announce(&self, sim: &mut dyn NetPort) {
@@ -195,13 +190,13 @@ impl Registrar {
             Incoming::Timer { token, .. } if Some(*token) == self.announce_token => {
                 self.announce(sim);
                 self.announce_token =
-                    Some(sim.set_timer(self.node, self.announce_interval_ns, ANNOUNCE_TAG));
+                    Some(sim.set_timer(self.node, ANNOUNCE_INTERVAL_NS, ANNOUNCE_TAG));
             }
             Incoming::Timer { token, .. } if Some(*token) == self.sweep_token => {
                 self.sweep(sim.now());
                 self.maybe_advertise(sim);
                 self.sweep_token =
-                    Some(sim.set_timer(self.node, self.announce_interval_ns / 2, SWEEP_TAG));
+                    Some(sim.set_timer(self.node, ANNOUNCE_INTERVAL_NS / 2, SWEEP_TAG));
             }
             Incoming::Message {
                 from,

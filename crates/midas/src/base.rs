@@ -972,28 +972,6 @@ impl ExtensionBase {
                     }
                 }
             }
-            MidasMsg::RoamingHandoff { node_name, ext_ids } => {
-                // Legacy handoff: ids only, no grants to migrate.
-                // Grant 0 never matches a live lease, so adoption falls
-                // back to the unknown-grant redelivery path.
-                if self.adapted.get(&node_name).is_some_and(|a| a.present) {
-                    return;
-                }
-                let grants: BTreeMap<String, u64> =
-                    ext_ids.iter().map(|id| (id.clone(), 0)).collect();
-                self.roam_insert(
-                    &node_name,
-                    RoamEntry {
-                        from: from.0,
-                        grants,
-                        exts: Vec::new(),
-                        seq: 0,
-                    },
-                );
-                self.count("midas.base.handoffs_received");
-                self.events
-                    .push(BaseEvent::HandoffReceived { node_name, ext_ids });
-            }
             MidasMsg::HandoffState {
                 node_name,
                 grants,

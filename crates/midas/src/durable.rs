@@ -69,17 +69,10 @@ pub enum BaseWalOp {
         /// Whether the node is in the base's area.
         present: bool,
     },
-    /// A neighbour handed us a roaming node's extension list.
-    /// Legacy op, superseded by [`BaseWalOp::RoamState`]; replaying it
-    /// builds a grant-less record (adoption falls back to redelivery).
-    Roamed {
-        /// The roaming node's name.
-        name: String,
-        /// Extensions it held at the neighbour.
-        ext_ids: Vec<String>,
-    },
     /// A roaming record was admitted or refreshed (handoff or lease
-    /// sync), with the migratable grants and packages.
+    /// sync), with the migratable grants and packages. Tag 6 is
+    /// reserved: it named a retired id-only roaming op and now decodes
+    /// as an unknown tag.
     RoamState {
         /// The roaming node's name.
         name: String,
@@ -144,11 +137,6 @@ impl Wire for BaseWalOp {
                 w.put_str(name);
                 w.put_bool(*present);
             }
-            BaseWalOp::Roamed { name, ext_ids } => {
-                w.put_u8(6);
-                w.put_str(name);
-                ext_ids.encode(w);
-            }
             BaseWalOp::RoamState {
                 name,
                 from,
@@ -199,10 +187,6 @@ impl Wire for BaseWalOp {
             5 => BaseWalOp::Presence {
                 name: r.get_str()?,
                 present: r.get_bool()?,
-            },
-            6 => BaseWalOp::Roamed {
-                name: r.get_str()?,
-                ext_ids: Vec::decode(r)?,
             },
             7 => BaseWalOp::RoamState {
                 name: r.get_str()?,
@@ -444,21 +428,6 @@ impl Durable for ExtensionBase {
                     .ok_or(DurableError::Invalid("presence for unknown node"))?;
                 a.present = present;
             }
-            BaseWalOp::Roamed { name, ext_ids } => {
-                // Legacy record: no migratable grants (grant 0 never
-                // matches a live lease → redelivery fallback).
-                let seq = self.roam_seq;
-                self.roam_seq += 1;
-                self.roaming_cache.insert(
-                    name,
-                    RoamEntry {
-                        from: 0,
-                        grants: ext_ids.into_iter().map(|id| (id, 0)).collect(),
-                        exts: Vec::new(),
-                        seq,
-                    },
-                );
-            }
             BaseWalOp::RoamState {
                 name,
                 from,
@@ -549,9 +518,12 @@ mod tests {
                 name: "robot:1:1".into(),
                 present: false,
             },
-            BaseWalOp::Roamed {
+            BaseWalOp::RoamState {
                 name: "robot:2:2".into(),
-                ext_ids: vec!["mon".into()],
+                from: 8,
+                grants: [("mon".to_string(), 4u64)].into(),
+                exts: Vec::new(),
+                seq: 3,
             },
             BaseWalOp::RoamState {
                 name: "robot:3:3".into(),
@@ -588,6 +560,24 @@ mod tests {
                 offset: 0,
             })
         );
+    }
+
+    #[test]
+    fn retired_roamed_tag_is_rejected() {
+        // Tag 6 was the id-only roaming op; a record carrying it (as a
+        // log written before its removal would) is an unknown tag.
+        let mut bytes = vec![6];
+        bytes.extend(pmp_wire::to_bytes(&"robot:2:2".to_string()));
+        bytes.extend(pmp_wire::to_bytes(&vec!["mon".to_string()]));
+        assert_eq!(
+            pmp_wire::from_bytes::<BaseWalOp>(&bytes),
+            Err(WireError::InvalidTag {
+                type_name: "BaseWalOp",
+                tag: 6,
+                offset: 0,
+            })
+        );
+        assert!(fresh_base().apply_record(&bytes).is_err());
     }
 
     #[test]

@@ -19,16 +19,6 @@
 use crate::package::ExtensionPackage;
 pub use pmp_analyze::opt::{MethodOptReport, OptReport};
 
-/// Whether a base ships extension packages optimized or as authored.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShipMode {
-    /// Ship advice bodies exactly as authored (the paper's behaviour).
-    Original,
-    /// Run the weave-time optimizer before sealing (default).
-    #[default]
-    Optimized,
-}
-
 /// Optimizes a package's advice bodies, returning the optimized
 /// package and the deterministic per-method report.
 pub fn optimize_package(pkg: &ExtensionPackage) -> (ExtensionPackage, OptReport) {

@@ -82,6 +82,10 @@ struct PendingInstall {
     ctx: TraceCtx,
 }
 
+/// Presence (discovery) lease the adaptation service advertises under
+/// (2 s).
+pub const ADVERTISE_LEASE_NS: u64 = 2_000_000_000;
+
 /// The adaptation-service state machine. Drive it by passing every
 /// [`Incoming`] of its node — along with the node's VM and PROSE — to
 /// [`AdaptationService::handle`].
@@ -94,7 +98,6 @@ pub struct AdaptationService {
     discovery: DiscoveryClient,
     installed: HashMap<String, Installed>,
     pending: Vec<PendingInstall>,
-    advertise_lease_ns: u64,
     expiry_check_ns: u64,
     expiry_token: Option<u64>,
     started: bool,
@@ -114,8 +117,7 @@ impl AdaptationService {
             discovery: DiscoveryClient::new(node),
             installed: HashMap::new(),
             pending: Vec::new(),
-            advertise_lease_ns: 2_000_000_000, // 2 s presence lease
-            expiry_check_ns: 500_000_000,      // 0.5 s sweep
+            expiry_check_ns: 500_000_000, // 0.5 s sweep
             expiry_token: None,
             started: false,
             events: Vec::new(),
@@ -165,11 +167,6 @@ impl AdaptationService {
         }
     }
 
-    /// Overrides the presence (discovery) lease duration.
-    pub fn set_advertise_lease(&mut self, ns: u64) {
-        self.advertise_lease_ns = ns;
-    }
-
     /// Starts advertising and lease sweeping. Idempotent.
     pub fn start(&mut self, sim: &mut dyn NetPort) {
         if self.started {
@@ -184,7 +181,7 @@ impl AdaptationService {
         let item = ServiceItem::new("midas.adaptation", self.name.clone(), self.node.0)
             .with_attr("vm", "pmp");
         self.discovery
-            .register(sim, registrar, item, self.advertise_lease_ns);
+            .register(sim, registrar, item, ADVERTISE_LEASE_NS);
     }
 
     /// Ids of currently installed extensions, sorted.
@@ -402,7 +399,6 @@ impl AdaptationService {
             // Base-bound messages are ignored by the receiver.
             MidasMsg::Ack { .. }
             | MidasMsg::RequestDep { .. }
-            | MidasMsg::RoamingHandoff { .. }
             | MidasMsg::HandoffState { .. }
             | MidasMsg::MovementExport { .. }
             | MidasMsg::CatalogDigest { .. }

@@ -174,7 +174,7 @@ impl Simulator {
         self.clock.clone()
     }
 
-    /// Mirrors delivery statistics into `shared` (counters `net.sim.*`
+    /// Counts delivery statistics in `shared` (counters `net.sim.*`
     /// and `net.channel.<name>.bytes`, deliveries as journal events)
     /// and stamps the shared journal with this simulator's clock.
     pub fn attach_telemetry(&mut self, shared: &pmp_telemetry::Shared) {
@@ -748,7 +748,7 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(sim.trace.stats.delivered, 1);
+        assert_eq!(sim.trace.stats().delivered, 1);
     }
 
     #[test]
@@ -756,7 +756,7 @@ mod tests {
         let (mut sim, a, b) = world();
         sim.move_node(b, Position::new(1000.0, 0.0));
         assert!(!sim.send(a, b, "c", vec![]));
-        assert_eq!(sim.trace.stats.dropped_range, 1);
+        assert_eq!(sim.trace.stats().dropped_range, 1);
     }
 
     #[test]
@@ -769,7 +769,7 @@ mod tests {
         sim.move_node(b, Position::new(1000.0, 0.0));
         sim.step();
         assert!(sim.drain_inbox(b).is_empty());
-        assert_eq!(sim.trace.stats.dropped_range, 1);
+        assert_eq!(sim.trace.stats().dropped_range, 1);
     }
 
     #[test]
@@ -858,7 +858,7 @@ mod tests {
             })
             .collect();
         assert_eq!(tags, ["early", "late"]);
-        assert_eq!(sim.trace.stats.timers, 2);
+        assert_eq!(sim.trace.stats().timers, 2);
     }
 
     #[test]
@@ -943,7 +943,7 @@ mod tests {
                 sim.send(a, b, "c", vec![0; 16]);
             }
             sim.run_for(1_000_000_000);
-            (sim.trace.stats.delivered, sim.trace.stats.dropped_loss)
+            (sim.trace.stats().delivered, sim.trace.stats().dropped_loss)
         };
         assert_eq!(run(5), run(5));
         // Loss actually happens at 30%.

@@ -1,18 +1,21 @@
 //! Delivery statistics and an optional event log.
 //!
-//! [`NetStats`] remains the legacy zero-cost counter struct; when a
-//! [`pmp_telemetry::Shared`] registry is attached every bump is
-//! mirrored into named counters (`net.sim.*`, plus per-channel
-//! `net.channel.<name>.bytes`) and each delivery is re-exported as a
-//! `net.deliver` journal event, so the simulator's numbers read back
-//! through the same pipeline as every other layer's.
+//! Every counter lives in a [`pmp_telemetry::Shared`] registry under
+//! `net.sim.*` (plus per-channel `net.channel.<name>.bytes`), and each
+//! delivery is exported as a `net.deliver` journal event, so the
+//! simulator's numbers read back through the same pipeline as every
+//! other layer's. [`NetStats`] is a read-back view of those counters,
+//! the way `VmStats` is for the VM. A trace starts on a private
+//! registry until [`Trace::attach_telemetry`] moves it onto a shared
+//! one.
 
 use crate::clock::SimTime;
 use crate::node::NodeId;
-use pmp_telemetry::{CounterId, Shared, Subsystem};
+use pmp_telemetry::{CounterId, Registry, Shared, Subsystem};
 use std::collections::HashMap;
 
-/// Aggregate counters over a simulation run.
+/// Aggregate counters over a simulation run, read back out of the
+/// `net.sim.*` registry counters by [`Trace::stats`].
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct NetStats {
     /// Unicast messages submitted.
@@ -45,46 +48,64 @@ pub struct TraceEntry {
     pub bytes: usize,
 }
 
-/// Pre-registered `net.sim.*` counter ids in an attached registry.
+/// Pre-registered `net.sim.*` counter ids in the trace's registry.
 #[derive(Debug)]
-struct Mirror {
-    shared: Shared,
+struct NetIds {
     sent: CounterId,
     delivered: CounterId,
     dropped_range: CounterId,
     dropped_loss: CounterId,
     broadcasts: CounterId,
     timers: CounterId,
-    /// Lazily-registered `net.channel.<name>.bytes` counters.
-    channel_bytes: HashMap<String, CounterId>,
 }
 
-impl Mirror {
-    fn new(shared: &Shared) -> Mirror {
-        let mut t = shared.lock();
-        let m = Mirror {
-            sent: t.registry.counter("net.sim.sent"),
-            delivered: t.registry.counter("net.sim.delivered"),
-            dropped_range: t.registry.counter("net.sim.dropped_range"),
-            dropped_loss: t.registry.counter("net.sim.dropped_loss"),
-            broadcasts: t.registry.counter("net.sim.broadcasts"),
-            timers: t.registry.counter("net.sim.timers"),
-            channel_bytes: HashMap::new(),
-            shared: shared.clone(),
-        };
-        drop(t);
-        m
+impl NetIds {
+    fn register(r: &mut Registry) -> NetIds {
+        NetIds {
+            sent: r.counter("net.sim.sent"),
+            delivered: r.counter("net.sim.delivered"),
+            dropped_range: r.counter("net.sim.dropped_range"),
+            dropped_loss: r.counter("net.sim.dropped_loss"),
+            broadcasts: r.counter("net.sim.broadcasts"),
+            timers: r.counter("net.sim.timers"),
+        }
+    }
+
+    fn read(&self, r: &Registry) -> NetStats {
+        NetStats {
+            sent: r.counter_get(self.sent),
+            delivered: r.counter_get(self.delivered),
+            dropped_range: r.counter_get(self.dropped_range),
+            dropped_loss: r.counter_get(self.dropped_loss),
+            broadcasts: r.counter_get(self.broadcasts),
+            timers: r.counter_get(self.timers),
+        }
     }
 }
 
 /// Collects statistics and (optionally) per-delivery entries.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Trace {
-    /// Aggregate counters.
-    pub stats: NetStats,
+    shared: Shared,
+    ids: NetIds,
+    /// Lazily-registered `net.channel.<name>.bytes` counters.
+    channel_bytes: HashMap<String, CounterId>,
     log_enabled: bool,
     log: Vec<TraceEntry>,
-    mirror: Option<Mirror>,
+}
+
+impl Default for Trace {
+    fn default() -> Trace {
+        let shared = Shared::new();
+        let ids = NetIds::register(&mut shared.lock().registry);
+        Trace {
+            shared,
+            ids,
+            channel_bytes: HashMap::new(),
+            log_enabled: false,
+            log: Vec::new(),
+        }
+    }
 }
 
 impl Trace {
@@ -93,72 +114,83 @@ impl Trace {
         self.log_enabled = enabled;
     }
 
-    /// Mirrors every counter bump into `shared` (names `net.sim.*`)
-    /// and re-exports deliveries through its journal.
+    /// Moves the counters (names `net.sim.*`) into `shared`, carrying
+    /// over what was counted so far, and journals later deliveries
+    /// there.
     pub fn attach_telemetry(&mut self, shared: &Shared) {
-        self.mirror = Some(Mirror::new(shared));
+        let so_far = self.stats();
+        let mut t = shared.lock();
+        let ids = NetIds::register(&mut t.registry);
+        for (id, n) in [
+            (ids.sent, so_far.sent),
+            (ids.delivered, so_far.delivered),
+            (ids.dropped_range, so_far.dropped_range),
+            (ids.dropped_loss, so_far.dropped_loss),
+            (ids.broadcasts, so_far.broadcasts),
+            (ids.timers, so_far.timers),
+        ] {
+            t.registry.add(id, n);
+        }
+        drop(t);
+        self.ids = ids;
+        self.channel_bytes.clear();
+        self.shared = shared.clone();
+    }
+
+    /// The aggregate counters, read back out of the registry.
+    #[must_use]
+    pub fn stats(&self) -> NetStats {
+        self.ids.read(&self.shared.lock().registry)
+    }
+
+    fn inc(&self, id: CounterId) {
+        self.shared.with(|t| t.registry.inc(id));
     }
 
     pub(crate) fn record_sent(&mut self) {
-        self.stats.sent += 1;
-        if let Some(m) = &self.mirror {
-            m.shared.with(|t| t.registry.inc(m.sent));
-        }
+        self.inc(self.ids.sent);
     }
 
     pub(crate) fn record_broadcast(&mut self) {
-        self.stats.broadcasts += 1;
-        if let Some(m) = &self.mirror {
-            m.shared.with(|t| t.registry.inc(m.broadcasts));
-        }
+        self.inc(self.ids.broadcasts);
     }
 
     pub(crate) fn record_timer(&mut self) {
-        self.stats.timers += 1;
-        if let Some(m) = &self.mirror {
-            m.shared.with(|t| t.registry.inc(m.timers));
-        }
+        self.inc(self.ids.timers);
     }
 
     pub(crate) fn record_drop_range(&mut self) {
-        self.stats.dropped_range += 1;
-        if let Some(m) = &self.mirror {
-            m.shared.with(|t| t.registry.inc(m.dropped_range));
-        }
+        self.inc(self.ids.dropped_range);
     }
 
     pub(crate) fn record_drop_loss(&mut self) {
-        self.stats.dropped_loss += 1;
-        if let Some(m) = &self.mirror {
-            m.shared.with(|t| t.registry.inc(m.dropped_loss));
-        }
+        self.inc(self.ids.dropped_loss);
     }
 
     pub(crate) fn record_delivery(&mut self, entry: TraceEntry) {
-        self.stats.delivered += 1;
-        if let Some(m) = &mut self.mirror {
-            let chan_id = *m
-                .channel_bytes
-                .entry(entry.channel.clone())
-                .or_insert_with(|| {
-                    m.shared
-                        .lock()
-                        .registry
-                        .counter(&format!("net.channel.{}.bytes", entry.channel))
-                });
-            m.shared.with(|t| {
-                t.registry.inc(m.delivered);
-                t.registry.add(chan_id, entry.bytes as u64);
-                t.journal.event(
-                    Subsystem::Net,
-                    "net.deliver",
-                    format!(
-                        "{}->{} {} {}B",
-                        entry.from.0, entry.to.0, entry.channel, entry.bytes
-                    ),
-                );
+        let shared = &self.shared;
+        let chan_id = *self
+            .channel_bytes
+            .entry(entry.channel.clone())
+            .or_insert_with(|| {
+                shared
+                    .lock()
+                    .registry
+                    .counter(&format!("net.channel.{}.bytes", entry.channel))
             });
-        }
+        let delivered = self.ids.delivered;
+        self.shared.with(|t| {
+            t.registry.inc(delivered);
+            t.registry.add(chan_id, entry.bytes as u64);
+            t.journal.event(
+                Subsystem::Net,
+                "net.deliver",
+                format!(
+                    "{}->{} {} {}B",
+                    entry.from.0, entry.to.0, entry.channel, entry.bytes
+                ),
+            );
+        });
         if self.log_enabled {
             self.log.push(entry);
         }
@@ -177,13 +209,14 @@ impl Trace {
     /// sequence is identical.
     #[must_use]
     pub fn digest(&self) -> u64 {
+        let stats = self.stats();
         let mut h = pmp_telemetry::Fnv64::new();
-        h.write_u64(self.stats.sent);
-        h.write_u64(self.stats.delivered);
-        h.write_u64(self.stats.dropped_range);
-        h.write_u64(self.stats.dropped_loss);
-        h.write_u64(self.stats.broadcasts);
-        h.write_u64(self.stats.timers);
+        h.write_u64(stats.sent);
+        h.write_u64(stats.delivered);
+        h.write_u64(stats.dropped_range);
+        h.write_u64(stats.dropped_loss);
+        h.write_u64(stats.broadcasts);
+        h.write_u64(stats.timers);
         h.write_u64(self.log.len() as u64);
         for e in &self.log {
             h.write_u64(e.at.0);
@@ -193,13 +226,6 @@ impl Trace {
             h.write_u64(e.bytes as u64);
         }
         h.finish()
-    }
-
-    /// Clears the log and zeroes the counters (attached telemetry is
-    /// left untouched — its registry has its own `reset`).
-    pub fn reset(&mut self) {
-        self.stats = NetStats::default();
-        self.log.clear();
     }
 }
 
@@ -221,22 +247,21 @@ mod tests {
     fn logging_toggle() {
         let mut t = Trace::default();
         t.record_delivery(entry());
-        assert_eq!(t.stats.delivered, 1);
+        assert_eq!(t.stats().delivered, 1);
         assert!(t.log().is_empty());
         t.set_logging(true);
         t.record_delivery(entry());
         assert_eq!(t.log().len(), 1);
-        t.reset();
-        assert_eq!(t.stats.delivered, 0);
-        assert!(t.log().is_empty());
+        assert_eq!(t.stats().delivered, 2);
     }
 
     #[test]
-    fn attached_registry_mirrors_all_counters() {
+    fn stats_read_back_the_attached_registry() {
         let shared = Shared::new();
         let mut t = Trace::default();
-        t.attach_telemetry(&shared);
+        // Counted before the attach: carried over, not lost.
         t.record_sent();
+        t.attach_telemetry(&shared);
         t.record_sent();
         t.record_broadcast();
         t.record_timer();
@@ -248,21 +273,22 @@ mod tests {
             bytes: 10,
             ..entry()
         });
-        assert_eq!(shared.counter_value("net.sim.sent"), t.stats.sent);
-        assert_eq!(shared.counter_value("net.sim.delivered"), t.stats.delivered);
         assert_eq!(
-            shared.counter_value("net.sim.dropped_range"),
-            t.stats.dropped_range
+            t.stats(),
+            NetStats {
+                sent: 2,
+                delivered: 2,
+                dropped_range: 1,
+                dropped_loss: 1,
+                broadcasts: 1,
+                timers: 1,
+            }
         );
-        assert_eq!(
-            shared.counter_value("net.sim.dropped_loss"),
-            t.stats.dropped_loss
-        );
-        assert_eq!(shared.counter_value("net.sim.broadcasts"), t.stats.broadcasts);
-        assert_eq!(shared.counter_value("net.sim.timers"), t.stats.timers);
+        assert_eq!(shared.counter_value("net.sim.sent"), 2);
+        assert_eq!(shared.counter_value("net.sim.delivered"), 2);
         assert_eq!(shared.counter_value("net.channel.x.bytes"), 3);
         assert_eq!(shared.counter_value("net.channel.y.bytes"), 10);
-        // Deliveries are re-exported as journal events.
+        // Deliveries are exported as journal events.
         let journal_events = shared.with(|t| {
             t.journal
                 .events()

@@ -67,7 +67,7 @@ fn randomized_run(seed: u64) -> NetStats {
     while sim.has_events() {
         sim.step();
     }
-    sim.trace.stats
+    sim.trace.stats()
 }
 
 #[test]
@@ -104,7 +104,7 @@ fn mixed_workload_still_balances_after_drain() {
     while sim.has_events() {
         sim.step();
     }
-    let s = sim.trace.stats;
+    let s = sim.trace.stats();
     assert_eq!(s.sent, 100);
     assert_eq!(s.sent, s.delivered + s.dropped_range + s.dropped_loss, "{s:?}");
     assert!(s.dropped_range > 0, "range drops exercised: {s:?}");

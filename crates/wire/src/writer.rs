@@ -156,7 +156,7 @@ impl Writer {
         self.buf.truncate(mark);
     }
 
-    /// Consumes the writer into a shared, cheap-to-clone [`Bytes`]
+    /// Consumes the writer into a shared, cheap-to-clone [`crate::Bytes`]
     /// view — the borrowed-write path: encode once, fan out by
     /// refcount.
     #[must_use]

@@ -164,7 +164,7 @@ fn run_failures(driver: Box<dyn Driver>) -> Fingerprint {
         format!("lossy {installed_lossy:?}"),
         format!("outage {installed_outage:?}"),
         format!("recovered {installed_recovered:?}"),
-        format!("drops {}", p.sim.trace.stats.dropped_loss),
+        format!("drops {}", p.sim.trace.stats().dropped_loss),
     ];
     fingerprint(name, &p, obs)
 }

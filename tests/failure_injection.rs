@@ -101,9 +101,9 @@ fn adaptation_succeeds_over_a_lossy_radio() {
         w.receiver.installed_ids()
     );
     assert!(
-        w.sim.trace.stats.dropped_loss > 0,
+        w.sim.trace.stats().dropped_loss > 0,
         "the link really was lossy ({} drops)",
-        w.sim.trace.stats.dropped_loss
+        w.sim.trace.stats().dropped_loss
     );
     // And it stays alive: renewals are also lossy but redundant.
     pump(&mut w, 30 * SEC);
@@ -112,7 +112,7 @@ fn adaptation_succeeds_over_a_lossy_radio() {
     // The telemetry mirror saw the same lossy world as the legacy
     // counters, and the install survived at least one rejection-free
     // delivery pipeline.
-    let stats = w.sim.trace.stats;
+    let stats = w.sim.trace.stats();
     assert_eq!(
         w.telemetry.counter_value("net.sim.dropped_loss"),
         stats.dropped_loss

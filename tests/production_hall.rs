@@ -168,9 +168,10 @@ fn telemetry_agrees_with_legacy_stats() {
     // A manual checkpoint, so the snapshot path's samples exist too.
     w.platform.checkpoint_base(w.base_a);
 
-    // The network counters mirrored into the shared registry must agree
-    // exactly with the simulator's legacy `NetStats`.
-    let net = w.platform.sim.trace.stats;
+    // `NetStats` is a view of the platform registry's `net.sim.*`
+    // counters: the simulator counts into the platform's registry, not
+    // into a private one.
+    let net = w.platform.sim.trace.stats();
     let shared = w.platform.telemetry();
     assert_eq!(shared.counter_value("net.sim.sent"), net.sent);
     assert_eq!(shared.counter_value("net.sim.delivered"), net.delivered);

@@ -13,12 +13,15 @@ use pmp::chaos::{exec, repro, DriverKind, Op};
 
 const RED: &str = "soak-slowlinks-p99.redrepro";
 
-fn load_red() -> pmp::chaos::Scenario {
+fn red_bytes() -> Vec<u8> {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/repros")
         .join(RED);
-    let bytes = std::fs::read(&path).expect("red repro must exist");
-    repro::load(&bytes).expect("red repro must parse")
+    std::fs::read(&path).expect("red repro must exist")
+}
+
+fn load_red() -> pmp::chaos::Scenario {
+    repro::load(&red_bytes()).expect("red repro must parse").0
 }
 
 /// The shrinker got it down to the essentials: the regression knob
@@ -79,7 +82,7 @@ fn stripping_the_regression_turns_the_repro_green() {
 /// artifact stays replayable across format-preserving refactors.
 #[test]
 fn red_repro_bytes_are_roundtrip_stable() {
-    let sc = load_red();
-    let reencoded = repro::load(&repro::save(&sc)).expect("re-encoded repro must parse");
-    assert_eq!(sc, reencoded);
+    let bytes = red_bytes();
+    let (sc, flight) = repro::load(&bytes).expect("red repro must parse");
+    assert_eq!(repro::save(&sc, &flight), bytes);
 }

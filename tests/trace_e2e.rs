@@ -259,8 +259,8 @@ fn chaos_repro_carries_the_flight_dump() {
         run.flight.iter().any(|(_, entries)| !entries.is_empty()),
         "the run recorded flight entries"
     );
-    let bytes = repro::save_with_flight(&sc, &run.flight);
-    let (sc2, flight2) = repro::load_full(&bytes).unwrap();
+    let bytes = repro::save(&sc, &run.flight);
+    let (sc2, flight2) = repro::load(&bytes).unwrap();
     assert_eq!(sc2, sc);
     assert_eq!(flight2, run.flight);
 }

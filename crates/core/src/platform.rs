@@ -372,9 +372,14 @@ impl Platform {
         report
     }
 
-    /// Snapshots a base's durable state and compacts its WAL now
-    /// (checkpoints also fire automatically once enough records commit;
-    /// see [`pmp_durable::EngineConfig::snapshot_every`]).
+    /// Snapshots a base's durable state and compacts its WAL now.
+    ///
+    /// Checkpoints also fire automatically at pump end, once the record
+    /// floor ([`pmp_durable::EngineConfig::snapshot_every`]) is met and
+    /// the log since the last checkpoint is at least as large as that
+    /// checkpoint's snapshot (see [`pmp_durable::engine`]). A manual
+    /// checkpoint counts as the last one: the next automatic checkpoint
+    /// waits until the log has outgrown this snapshot.
     pub fn checkpoint_base(&mut self, id: BaseId) {
         self.bases[id.0].checkpoint();
     }
@@ -856,7 +861,7 @@ impl Platform {
         }
         // Pump end is a quiescent barrier: drain spans minted by direct
         // calls since the last epoch, commit anything appended, and
-        // take any snapshot the engine's record budget asks for.
+        // take any snapshot the engine's checkpoint cadence asks for.
         self.drain_spans_now();
         for station in &mut self.bases {
             if station.crashed {

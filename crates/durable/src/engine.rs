@@ -20,6 +20,25 @@
 //! thereby bounded by the write volume since the last checkpoint, not
 //! by history length.
 //!
+//! # Checkpoint cadence
+//!
+//! [`DurableEngine::should_checkpoint`] asks for a snapshot only when
+//! two things hold: at least [`EngineConfig::snapshot_every`] weighted
+//! records committed since the last checkpoint (the record floor), and
+//! the WAL frame bytes committed since then are at least
+//! [`LOG_TO_SNAPSHOT_RATIO`] times the byte length of the last snapshot
+//! file. Every snapshot of `S` bytes is thus paid for by at least `S`
+//! bytes of new log, so over any run of automatic checkpoints
+//!
+//! ```text
+//! Σ snapshot bytes ≤ Σ committed WAL bytes + last snapshot bytes
+//! ```
+//!
+//! and snapshot sizes of a growing state grow geometrically instead of
+//! once per fixed record count. Recovery work stays proportional to
+//! the state: one snapshot plus about one snapshot's worth of log (or
+//! the record floor's worth, while the state is still small).
+//!
 //! # Recovery
 //!
 //! [`DurableEngine::recover`] restores the newest *valid* snapshot
@@ -53,8 +72,11 @@ pub struct EngineConfig {
     /// Segment roll threshold in bytes: a commit that would push the
     /// active segment past this opens a new one first.
     pub segment_bytes: usize,
-    /// Auto-checkpoint hint: [`DurableEngine::should_checkpoint`] turns
-    /// true after this many records commit since the last snapshot.
+    /// Record floor of the auto-checkpoint hint:
+    /// [`DurableEngine::should_checkpoint`] stays false until at least
+    /// this many weighted records commit since the last snapshot. Past
+    /// the floor, the hint also waits until the log since the last
+    /// snapshot is as large as that snapshot (see the module docs).
     /// `0` disables the hint (checkpoints become purely manual).
     pub snapshot_every: u64,
 }
@@ -67,6 +89,14 @@ impl Default for EngineConfig {
         }
     }
 }
+
+/// How many bytes of WAL must commit since the last checkpoint, per
+/// byte of that checkpoint's snapshot file, before
+/// [`DurableEngine::should_checkpoint`] asks for the next one. At 1, a
+/// snapshot is taken only once the log it replaces is at least as large
+/// as the previous snapshot, which keeps total snapshot bytes within
+/// total log bytes plus one snapshot.
+pub const LOG_TO_SNAPSHOT_RATIO: u64 = 1;
 
 /// A snapshot file body: the sequence horizon it covers and one opaque
 /// blob per namespace.
@@ -160,6 +190,10 @@ pub struct DurableEngine {
     buffered: Vec<WalRecord>,
     buffered_weightless: u64,
     since_snapshot: u64,
+    /// WAL frame bytes committed since the last checkpoint.
+    log_bytes: u64,
+    /// Byte length of the last snapshot file (0 before the first).
+    snapshot_len: u64,
     sink: Option<Sink>,
     tap: Option<CommitTap>,
 }
@@ -175,6 +209,8 @@ impl std::fmt::Debug for DurableEngine {
             .field("buffered", &self.buffered)
             .field("buffered_weightless", &self.buffered_weightless)
             .field("since_snapshot", &self.since_snapshot)
+            .field("log_bytes", &self.log_bytes)
+            .field("snapshot_len", &self.snapshot_len)
             .field("tap", &self.tap.is_some())
             .finish_non_exhaustive()
     }
@@ -199,6 +235,8 @@ impl DurableEngine {
             buffered: Vec::new(),
             buffered_weightless: 0,
             since_snapshot: 0,
+            log_bytes: 0,
+            snapshot_len: 0,
             sink: None,
             tap: None,
         }
@@ -267,11 +305,12 @@ impl DurableEngine {
         seq
     }
 
-    /// Like [`DurableEngine::append`], but the record does not advance
-    /// the snapshot cadence. For high-rate bounded diagnostics (the
-    /// trace flight ring): the record still commits, replays, and is
-    /// compacted away by checkpoints, but its chatter never forces an
-    /// extra full-state snapshot of its own.
+    /// Like [`DurableEngine::append`], but the record does not count
+    /// toward the record floor of the snapshot cadence. For high-rate
+    /// bounded diagnostics (the trace flight ring): the record still
+    /// commits, replays, and is compacted away by checkpoints, and its
+    /// frame bytes count toward the log-size condition like any other,
+    /// but its chatter alone never meets the record floor.
     pub fn append_weightless(&mut self, ns: &str, payload: Vec<u8>) -> u64 {
         self.buffered_weightless += 1;
         self.append(ns, payload)
@@ -314,6 +353,7 @@ impl DurableEngine {
             .append(&segment_file(self.segment), w.bytes_from(seg_start));
         self.disk.sync();
         self.since_snapshot += n as u64 - std::mem::take(&mut self.buffered_weightless);
+        self.log_bytes += w.mark() as u64;
         if let Some(sink) = &self.sink {
             sink.inc("durable.wal.commits");
             sink.record("durable.commit.batch", n as u64);
@@ -364,11 +404,15 @@ impl DurableEngine {
         (expect == committed_next).then_some(out)
     }
 
-    /// Whether enough records have committed since the last snapshot
-    /// to warrant a checkpoint (see [`EngineConfig::snapshot_every`]).
+    /// Whether enough has committed since the last snapshot to warrant
+    /// a checkpoint: the record floor ([`EngineConfig::snapshot_every`])
+    /// is met and the log since the last checkpoint has outgrown that
+    /// checkpoint's snapshot (see [`LOG_TO_SNAPSHOT_RATIO`]).
     #[must_use]
     pub fn should_checkpoint(&self) -> bool {
-        self.cfg.snapshot_every > 0 && self.since_snapshot >= self.cfg.snapshot_every
+        self.cfg.snapshot_every > 0
+            && self.since_snapshot >= self.cfg.snapshot_every
+            && self.log_bytes >= self.snapshot_len * LOG_TO_SNAPSHOT_RATIO
     }
 
     /// Writes a snapshot of every given state and compacts the log:
@@ -412,6 +456,8 @@ impl DurableEngine {
         self.segment += 1;
         self.segment_len = 0;
         self.since_snapshot = 0;
+        self.log_bytes = 0;
+        self.snapshot_len = snap_bytes as u64;
 
         if let Some(sink) = &self.sink {
             sink.inc("durable.snapshot.count");
@@ -430,11 +476,16 @@ impl DurableEngine {
         }
     }
 
-    /// Simulates the process dying: the uncommitted batch and all
-    /// unsynced disk bytes vanish. The committed image survives.
+    /// Simulates the process dying: the uncommitted batch, the
+    /// in-memory checkpoint cadence and all unsynced disk bytes vanish.
+    /// The committed image survives; [`DurableEngine::recover`]
+    /// re-derives the cadence from it.
     pub fn crash(&mut self) {
         self.buffered.clear();
         self.buffered_weightless = 0;
+        self.since_snapshot = 0;
+        self.log_bytes = 0;
+        self.snapshot_len = 0;
         self.disk.crash();
     }
 
@@ -450,6 +501,7 @@ impl DurableEngine {
         // Newest snapshot that reads back clean wins; corrupt ones are
         // skipped (an older generation is better than no baseline).
         let mut snapshot = None;
+        let mut snapshot_len = 0;
         for snap_name in self.disk.files_with_prefix("snap/").into_iter().rev() {
             let bytes = self.disk.read(&snap_name).unwrap_or(&[]);
             let parsed = decode_framed(bytes, 0)
@@ -459,6 +511,7 @@ impl DurableEngine {
             match parsed {
                 Some(snap) => {
                     snapshot = Some(snap);
+                    snapshot_len = bytes.len() as u64;
                     break;
                 }
                 None => report.skipped_snapshots += 1,
@@ -497,6 +550,9 @@ impl DurableEngine {
             replay.push(n);
         }
 
+        // Frame bytes of the replayed records: the log the cadence has
+        // seen since the loaded snapshot.
+        let mut log_bytes = 0;
         'segments: for (i, &seg_n) in replay.iter().enumerate() {
             let file = segment_file(seg_n);
             let is_last = i + 1 == replay.len();
@@ -506,12 +562,14 @@ impl DurableEngine {
                 match decode_record(&bytes, offset) {
                     Ok(None) => break,
                     Ok(Some((rec, next))) => {
+                        let frame_len = next - offset;
                         offset = next;
                         if rec.seq < next_seq {
                             continue; // covered by the snapshot
                         }
                         next_seq = rec.seq + 1;
                         report.replayed += 1;
+                        log_bytes += frame_len as u64;
                         let mut claimed = false;
                         for state in states.iter_mut() {
                             if state.namespace() == rec.ns {
@@ -553,7 +611,12 @@ impl DurableEngine {
         self.next_seq = next_seq;
         self.segment = seg_numbers.iter().copied().max().unwrap_or(0) + 1;
         self.segment_len = 0;
+        // The log does not say which records were weightless, so every
+        // replayed record counts toward the floor; the byte condition
+        // resumes exactly where the uncrashed engine left it.
         self.since_snapshot = report.replayed;
+        self.log_bytes = log_bytes;
+        self.snapshot_len = snapshot_len;
         report.next_seq = next_seq;
 
         // A corrupt record or a lost segment stays on disk, and replay
@@ -570,7 +633,7 @@ impl DurableEngine {
 
         if let Some(sink) = &self.sink {
             sink.inc("durable.recover.count");
-            sink.record("durable.recover_ms", start.elapsed().as_millis() as u64);
+            sink.record("durable.recover.ns", start.elapsed().as_nanos() as u64);
             if report.corrupt.is_some() {
                 sink.inc("durable.recover.corrupt_records");
             }
@@ -595,6 +658,7 @@ impl DurableEngine {
 mod tests {
     use super::*;
     use crate::DurableError;
+    use pmp_net::SimRng;
 
     /// A toy durable state: an append-only list of u64 values.
     #[derive(Debug, Default, PartialEq, Eq)]
@@ -851,12 +915,56 @@ mod tests {
         let mut ledger = Ledger::default();
         append_value(&mut engine, &mut ledger, 1);
         engine.commit();
-        assert!(!engine.should_checkpoint());
+        assert!(!engine.should_checkpoint(), "below the record floor");
         append_value(&mut engine, &mut ledger, 2);
         engine.commit();
-        assert!(engine.should_checkpoint());
+        assert!(
+            engine.should_checkpoint(),
+            "floor met, no snapshot to outgrow yet"
+        );
+        for v in 3..=40 {
+            append_value(&mut engine, &mut ledger, v);
+        }
         engine.checkpoint(&[&ledger]);
         assert!(!engine.should_checkpoint());
+        let snap = engine.disk().files_with_prefix("snap/").pop().unwrap();
+        assert_eq!(engine.snapshot_len, engine.disk().len(&snap) as u64);
+        assert_eq!(engine.log_bytes, 0);
+
+        // Past the floor, the log must also outgrow the last snapshot.
+        append_value(&mut engine, &mut ledger, 41);
+        append_value(&mut engine, &mut ledger, 42);
+        engine.commit();
+        assert!(engine.log_bytes > 0 && engine.log_bytes < engine.snapshot_len);
+        assert!(
+            !engine.should_checkpoint(),
+            "floor met, log smaller than the snapshot"
+        );
+        let mut v = 43;
+        while engine.log_bytes < engine.snapshot_len {
+            assert!(!engine.should_checkpoint());
+            append_value(&mut engine, &mut ledger, v);
+            engine.commit();
+            v += 1;
+        }
+        assert!(
+            engine.should_checkpoint(),
+            "the log has outgrown the snapshot"
+        );
+        engine.checkpoint(&[&ledger]);
+        assert!(!engine.should_checkpoint());
+
+        // `snapshot_every = 0` disables the hint whatever the log size.
+        let mut manual = DurableEngine::new(EngineConfig {
+            segment_bytes: 8192,
+            snapshot_every: 0,
+        });
+        let mut ledger = Ledger::default();
+        for v in 0..64 {
+            append_value(&mut manual, &mut ledger, v);
+            manual.commit();
+            assert!(!manual.should_checkpoint());
+        }
     }
 
     #[test]
@@ -866,10 +974,13 @@ mod tests {
             snapshot_every: 2,
         });
         let mut ledger = Ledger::default();
-        // Two weightless records commit fine but leave the hint cold.
-        for v in [1u64, 2] {
+        let append_weightless = |engine: &mut DurableEngine, ledger: &mut Ledger, v: u64| {
             ledger.values.push(v);
             engine.append_weightless("test.ledger", pmp_wire::to_bytes(&v));
+        };
+        // Two weightless records commit fine but leave the hint cold.
+        for v in [1u64, 2] {
+            append_weightless(&mut engine, &mut ledger, v);
         }
         assert_eq!(engine.commit(), 2);
         assert!(!engine.should_checkpoint(), "weightless records trip no checkpoint");
@@ -878,12 +989,202 @@ mod tests {
         append_value(&mut engine, &mut ledger, 4);
         engine.commit();
         assert!(engine.should_checkpoint());
+
+        // Weightless frames still count toward the log-size condition:
+        // once weighted records meet the floor, weightless ones alone
+        // grow the log past the snapshot.
+        for v in 5..=40 {
+            append_weightless(&mut engine, &mut ledger, v);
+        }
+        engine.checkpoint(&[&ledger]);
+        append_value(&mut engine, &mut ledger, 41);
+        append_value(&mut engine, &mut ledger, 42);
+        engine.commit();
+        assert!(engine.log_bytes < engine.snapshot_len);
+        assert!(!engine.should_checkpoint(), "floor met, log still small");
+        let mut v = 43;
+        while engine.log_bytes < engine.snapshot_len {
+            assert!(!engine.should_checkpoint());
+            append_weightless(&mut engine, &mut ledger, v);
+            engine.commit();
+            v += 1;
+        }
+        assert_eq!(
+            engine.since_snapshot, 2,
+            "weightless records skip the floor"
+        );
+        assert!(engine.should_checkpoint(), "weightless bytes grew the log");
+
         // Durability is unaffected: everything replays.
         engine.crash();
         let mut restored = Ledger::default();
         let report = engine.recover(&mut [&mut restored]);
         assert!(report.is_clean(), "{report:?}");
         assert_eq!(restored, ledger);
+    }
+
+    /// An append-only byte blob: its snapshot grows with every record,
+    /// the shape of the hall database.
+    #[derive(Debug, Default, PartialEq, Eq)]
+    struct Blob {
+        bytes: Vec<u8>,
+    }
+
+    impl Durable for Blob {
+        fn namespace(&self) -> &'static str {
+            "test.blob"
+        }
+        fn snapshot_bytes(&self) -> Vec<u8> {
+            self.bytes.clone()
+        }
+        fn restore_snapshot(&mut self, bytes: &[u8]) -> Result<(), DurableError> {
+            self.bytes = bytes.to_vec();
+            Ok(())
+        }
+        fn apply_record(&mut self, payload: &[u8]) -> Result<(), DurableError> {
+            self.bytes.extend_from_slice(payload);
+            Ok(())
+        }
+    }
+
+    /// `n` random bytes, `n` in `1..=max`.
+    fn random_payload(rng: &mut SimRng, max: u64) -> Vec<u8> {
+        let n = 1 + rng.range_u64(max);
+        (0..n).map(|_| rng.next_u64() as u8).collect()
+    }
+
+    /// One barrier: buffer `batch`, group-commit, and checkpoint if the
+    /// engine asks. Returns whether it asked.
+    fn blob_barrier(engine: &mut DurableEngine, blob: &mut Blob, batch: &[Vec<u8>]) -> bool {
+        for payload in batch {
+            blob.bytes.extend_from_slice(payload);
+            engine.append("test.blob", payload.clone());
+        }
+        engine.commit();
+        let due = engine.should_checkpoint();
+        if due {
+            engine.checkpoint(&[&*blob]);
+        }
+        due
+    }
+
+    #[test]
+    fn recovered_engine_resumes_the_byte_cadence() {
+        let cfg = EngineConfig {
+            segment_bytes: 256, // replay spans several segments
+            snapshot_every: 4,
+        };
+        let mut live = DurableEngine::new(cfg.clone());
+        let mut twin = DurableEngine::new(cfg);
+        let (mut live_blob, mut twin_blob) = (Blob::default(), Blob::default());
+        let mut rng = SimRng::new(7);
+        let mut crashed = false;
+        let mut checkpoints_after_crash = 0;
+        for barrier in 0..400 {
+            let batch: Vec<Vec<u8>> = (0..1 + rng.range_u64(4))
+                .map(|_| random_payload(&mut rng, 64))
+                .collect();
+            let live_due = blob_barrier(&mut live, &mut live_blob, &batch);
+            let twin_due = blob_barrier(&mut twin, &mut twin_blob, &batch);
+            assert_eq!(live_due, twin_due, "barrier {barrier}");
+            checkpoints_after_crash += u64::from(crashed && live_due);
+            // Crash once a snapshot exists and some log sits beyond it.
+            if !crashed && barrier >= 40 && twin.snapshot_len > 0 && twin.log_bytes > 0 {
+                crashed = true;
+                live.crash();
+                let mut restored = Blob::default();
+                let report = live.recover(&mut [&mut restored]);
+                assert!(report.is_clean(), "{report:?}");
+                assert!(report.replayed > 0 && report.snapshot_seq.is_some());
+                assert_eq!(restored, twin_blob);
+                live_blob = restored;
+                assert_eq!(
+                    (live.since_snapshot, live.log_bytes, live.snapshot_len),
+                    (twin.since_snapshot, twin.log_bytes, twin.snapshot_len),
+                    "recovery re-derives the cadence from the disk"
+                );
+            }
+        }
+        assert!(crashed);
+        assert!(
+            checkpoints_after_crash >= 2,
+            "the cadence kept firing after recovery"
+        );
+    }
+
+    /// Frame bytes of one WAL record carrying `payload_len` bytes.
+    fn frame_len(ns: &str, payload_len: usize) -> u64 {
+        let rec = WalRecord {
+            seq: u64::MAX,
+            ns: ns.to_string(),
+            payload: vec![0; payload_len],
+        };
+        let mut w = Writer::new();
+        encode_record_into(&rec, &mut w);
+        w.mark() as u64
+    }
+
+    /// The amortized bound of the cadence on a state whose snapshot
+    /// grows with every record: every snapshot is paid for by at least
+    /// as many bytes of new log, the log never runs far past the last
+    /// snapshot (or the record floor), and a crash anywhere recovers.
+    #[test]
+    fn snapshot_bytes_stay_within_log_bytes_plus_the_last_snapshot() {
+        const FLOOR: u64 = 16;
+        let mut engine = DurableEngine::new(EngineConfig {
+            segment_bytes: 8 * 1024,
+            snapshot_every: FLOOR,
+        });
+        let max_frame = frame_len("test.blob", 512);
+        let mut blob = Blob::default();
+        let mut rng = SimRng::new(0x5EED);
+        let crash_at = 500 + rng.range_u64(4000);
+        let (mut appends, mut barrier) = (0u64, 0u64);
+        let (mut log_total, mut snap_total, mut snapshots) = (0u64, 0u64, 0u64);
+        while appends < 20_000 {
+            let before = engine.log_bytes;
+            let n = 1 + rng.range_u64(8);
+            for _ in 0..n {
+                let payload = random_payload(&mut rng, 512);
+                blob.bytes.extend_from_slice(&payload);
+                engine.append("test.blob", payload);
+            }
+            appends += n;
+            engine.commit();
+            let batch = engine.log_bytes - before;
+            log_total += batch;
+            // What the previous barrier left is below the last snapshot
+            // or below the floor's worth of records; one batch more now.
+            assert!(
+                engine.log_bytes <= engine.snapshot_len.max((FLOOR - 1) * max_frame) + batch,
+                "barrier {barrier}: log {} after a batch of {batch}, snapshot {}",
+                engine.log_bytes,
+                engine.snapshot_len
+            );
+            if engine.should_checkpoint() {
+                engine.checkpoint(&[&blob]);
+                snapshots += 1;
+                snap_total += engine.snapshot_len;
+            }
+            if barrier == crash_at {
+                engine.crash();
+                let mut restored = Blob::default();
+                let report = engine.recover(&mut [&mut restored]);
+                assert!(report.is_clean(), "{report:?}");
+                assert_eq!(restored, blob, "crash at barrier {barrier}");
+            }
+            barrier += 1;
+        }
+        assert!(barrier > crash_at, "the crash happened");
+        assert!(
+            snap_total <= log_total + engine.snapshot_len,
+            "{snapshots} snapshots wrote {snap_total} bytes against {log_total} of log \
+             and a last snapshot of {}",
+            engine.snapshot_len
+        );
+        // Geometric growth: a fixed 16-record cadence would have taken
+        // over 1 000 snapshots here.
+        assert!(snapshots <= 32, "{snapshots} snapshots");
     }
 
     #[test]
@@ -1005,6 +1306,11 @@ mod tests {
             assert_eq!((bytes.count(), bytes.sum()), (1, snap_len as u64));
             let ns = t.registry.histogram_by_name("durable.snapshot.ns").unwrap();
             assert_eq!(ns.count(), 1);
+            // Recovery time is in nanoseconds, so even a sub-millisecond
+            // recovery records a non-zero sample.
+            let recover = t.registry.histogram_by_name("durable.recover.ns").unwrap();
+            assert_eq!(recover.count(), 1);
+            assert!(recover.sum() > 0);
         });
         let names: Vec<String> = shared.with(|t| {
             t.journal

@@ -294,92 +294,123 @@ mod tests {
         assert_eq!(clone.commit(), 1);
     }
 
-    // Property tests need the external `proptest` crate; the offline
-    // default build gates them behind the (empty) `proptest` feature.
-    #[cfg(feature = "proptest")]
+    // -- Seeded property suites: each case draws from one `SimRng`
+    // seed, so a failing case reproduces exactly from the seed in its
+    // message. --
+
     mod props {
         use crate::record::{decode_record, encode_record, FrameError, WalRecord};
-        use proptest::prelude::*;
+        use pmp_net::SimRng;
 
-        proptest! {
-            /// The satellite property: encode a WAL record, corrupt any
-            /// single byte, decode. The decoder never panics; it either
-            /// round-trips (impossible here — every flip changes some
-            /// bit) or reports an error anchored at the frame start.
-            #[test]
-            fn prop_corrupt_one_byte_never_panics(
-                seq in any::<u64>(),
-                ns in "[a-z.]{1,24}",
-                payload in proptest::collection::vec(any::<u8>(), 0..128),
-                flip_pos in any::<proptest::sample::Index>(),
-                flip_bit in 0u8..8,
-            ) {
-                let rec = WalRecord { seq, ns, payload };
+        /// Seeded cases per property (proptest's default case count).
+        const CASES: u64 = 256;
+
+        /// Up to `max - 1` random bytes.
+        fn bytes(rng: &mut SimRng, max: u64) -> Vec<u8> {
+            (0..rng.range_u64(max))
+                .map(|_| rng.next_u64() as u8)
+                .collect()
+        }
+
+        /// A random record: any `seq`, a 1–24 character namespace over
+        /// `[a-z.]`, and a payload of up to 127 bytes.
+        fn record(rng: &mut SimRng) -> WalRecord {
+            const NS: &[u8] = b"abcdefghijklmnopqrstuvwxyz.";
+            let seq = rng.next_u64();
+            let ns = (0..1 + rng.range_u64(24))
+                .map(|_| char::from(NS[rng.range_u64(NS.len() as u64) as usize]))
+                .collect();
+            WalRecord {
+                seq,
+                ns,
+                payload: bytes(rng, 128),
+            }
+        }
+
+        /// Encode a WAL record, corrupt any single bit, decode. The
+        /// decoder never panics; it reports an error anchored at the
+        /// frame start, and the checksum catches the flip before the
+        /// wire decoder sees the body.
+        #[test]
+        fn corrupt_one_byte_never_panics() {
+            for seed in 0..CASES {
+                let mut rng = SimRng::new(seed);
+                let rec = record(&mut rng);
                 let mut buf = Vec::new();
                 encode_record(&rec, &mut buf);
-                let i = flip_pos.index(buf.len());
-                buf[i] ^= 1 << flip_bit;
+                let i = rng.range_u64(buf.len() as u64) as usize;
+                buf[i] ^= 1 << rng.range_u64(8);
 
                 match decode_record(&buf, 0) {
+                    // Only reachable if the flip cancelled out — it
+                    // cannot, but stay honest about the contract.
                     Ok(Some((back, next))) => {
-                        // Only reachable if the flip cancelled out —
-                        // it cannot, but stay honest about the contract.
-                        prop_assert_eq!(back, rec);
-                        prop_assert_eq!(next, buf.len());
+                        assert_eq!(back, rec, "seed {seed}");
+                        assert_eq!(next, buf.len(), "seed {seed}");
                     }
-                    Ok(None) => prop_assert!(false, "non-empty input decoded as end"),
+                    Ok(None) => panic!("seed {seed}: non-empty input decoded as end"),
                     Err(err) => {
-                        prop_assert_eq!(err.offset(), 0, "error must carry the frame offset");
-                        prop_assert!(
+                        assert_eq!(
+                            err.offset(),
+                            0,
+                            "seed {seed}: error must carry the frame offset"
+                        );
+                        assert!(
                             !matches!(err, FrameError::Malformed { .. }),
-                            "checksum must catch the flip before the wire decoder: {}", err
+                            "seed {seed}: checksum must catch the flip before the wire decoder: {err}"
                         );
                     }
                 }
             }
+        }
 
-            /// Un-corrupted frames always round-trip.
-            #[test]
-            fn prop_clean_records_roundtrip(
-                seq in any::<u64>(),
-                ns in "[a-z.]{1,24}",
-                payload in proptest::collection::vec(any::<u8>(), 0..128),
-            ) {
-                let rec = WalRecord { seq, ns, payload };
+        /// Un-corrupted frames always round-trip.
+        #[test]
+        fn clean_records_roundtrip() {
+            for seed in 0..CASES {
+                let mut rng = SimRng::new(seed);
+                let rec = record(&mut rng);
                 let mut buf = Vec::new();
                 encode_record(&rec, &mut buf);
                 let (back, next) = decode_record(&buf, 0).unwrap().unwrap();
-                prop_assert_eq!(back, rec);
-                prop_assert_eq!(next, buf.len());
+                assert_eq!(back, rec, "seed {seed}");
+                assert_eq!(next, buf.len(), "seed {seed}");
             }
+        }
 
-            /// Arbitrary garbage never panics the frame decoder.
-            #[test]
-            fn prop_decoding_random_bytes_never_panics(
-                b in proptest::collection::vec(any::<u8>(), 0..256),
-            ) {
-                let _ = decode_record(&b, 0);
+        /// Arbitrary garbage never panics the frame decoder.
+        #[test]
+        fn decoding_random_bytes_never_panics() {
+            for seed in 0..CASES {
+                let mut rng = SimRng::new(seed);
+                let _ = decode_record(&bytes(&mut rng, 256), 0);
             }
+        }
 
-            /// Truncating a valid frame anywhere yields Torn at offset 0
-            /// (or a length complaint if the prefix itself is cut).
-            #[test]
-            fn prop_truncation_reports_torn(
-                seq in any::<u64>(),
-                payload in proptest::collection::vec(any::<u8>(), 0..64),
-                cut in any::<proptest::sample::Index>(),
-            ) {
-                let rec = WalRecord { seq, ns: "ns".into(), payload };
+        /// Truncating a valid frame anywhere yields Torn at offset 0 (or
+        /// a length complaint if the prefix itself is cut).
+        #[test]
+        fn truncation_reports_torn() {
+            for seed in 0..CASES {
+                let mut rng = SimRng::new(seed);
+                let rec = WalRecord {
+                    seq: rng.next_u64(),
+                    ns: "ns".into(),
+                    payload: bytes(&mut rng, 64),
+                };
                 let mut buf = Vec::new();
                 encode_record(&rec, &mut buf);
-                let keep = cut.index(buf.len()); // strictly less than full
+                let keep = rng.range_u64(buf.len() as u64) as usize; // strictly less than full
                 buf.truncate(keep);
                 if keep == 0 {
-                    prop_assert_eq!(decode_record(&buf, 0), Ok(None));
+                    assert_eq!(decode_record(&buf, 0), Ok(None), "seed {seed}");
                 } else {
                     let err = decode_record(&buf, 0).unwrap_err();
-                    prop_assert!(err.is_torn() || matches!(err, FrameError::BadLength { .. }));
-                    prop_assert_eq!(err.offset(), 0);
+                    assert!(
+                        err.is_torn() || matches!(err, FrameError::BadLength { .. }),
+                        "seed {seed}: {err}"
+                    );
+                    assert_eq!(err.offset(), 0, "seed {seed}");
                 }
             }
         }

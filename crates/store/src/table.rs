@@ -90,6 +90,7 @@ impl<T> Table<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pmp_net::SimRng;
 
     #[test]
     fn append_get_iterate() {
@@ -123,42 +124,50 @@ mod tests {
         assert_eq!(pos, [1, 3]);
     }
 
-    // Property tests need the external `proptest` crate; the offline
-    // default build gates them behind the (empty) `proptest` feature.
-    #[cfg(feature = "proptest")]
-    mod props {
-        use super::*;
-        use proptest::prelude::*;
+    // -- Seeded property suites: each case draws from one `SimRng`
+    // seed, so a failing case reproduces exactly from the seed in its
+    // message. --
 
-        proptest! {
-            #[test]
-            fn prop_ids_are_dense_and_stable(n in 0usize..100) {
-                let mut t = Table::new();
-                for i in 0..n {
-                    let id = t.append(i as u64, i);
-                    prop_assert_eq!(id, RecordId(i as u64));
-                }
-                prop_assert_eq!(t.len(), n);
-                for i in 0..n {
-                    prop_assert_eq!(t.get(RecordId(i as u64)).unwrap().0, &i);
-                }
-            }
+    /// Seeded cases per property (proptest's default case count).
+    const CASES: u64 = 256;
 
-            #[test]
-            fn prop_range_equals_filter(times in proptest::collection::vec(0u64..1000, 0..50),
-                                        from in 0u64..1000, width in 0u64..1000) {
-                let mut sorted = times.clone();
-                sorted.sort_unstable();
-                let mut t = Table::new();
-                for at in &sorted {
-                    t.append(*at, *at);
-                }
-                let to = from.saturating_add(width);
-                let via_range: Vec<u64> = t.range(from, to).map(|(_, _, r)| *r).collect();
-                let via_filter: Vec<u64> = sorted.iter().copied()
-                    .filter(|x| *x >= from && *x < to).collect();
-                prop_assert_eq!(via_range, via_filter);
+    #[test]
+    fn ids_are_dense_and_stable() {
+        for seed in 0..CASES {
+            let n = SimRng::new(seed).range_u64(100) as usize;
+            let mut t = Table::new();
+            for i in 0..n {
+                let id = t.append(i as u64, i);
+                assert_eq!(id, RecordId(i as u64), "seed {seed}");
             }
+            assert_eq!(t.len(), n, "seed {seed}");
+            for i in 0..n {
+                assert_eq!(t.get(RecordId(i as u64)).unwrap().0, &i, "seed {seed}");
+            }
+        }
+    }
+
+    #[test]
+    fn range_equals_filter() {
+        for seed in 0..CASES {
+            let mut rng = SimRng::new(seed);
+            let mut sorted: Vec<u64> = (0..rng.range_u64(50))
+                .map(|_| rng.range_u64(1000))
+                .collect();
+            sorted.sort_unstable();
+            let (from, width) = (rng.range_u64(1000), rng.range_u64(1000));
+            let mut t = Table::new();
+            for at in &sorted {
+                t.append(*at, *at);
+            }
+            let to = from.saturating_add(width);
+            let via_range: Vec<u64> = t.range(from, to).map(|(_, _, r)| *r).collect();
+            let via_filter: Vec<u64> = sorted
+                .iter()
+                .copied()
+                .filter(|x| *x >= from && *x < to)
+                .collect();
+            assert_eq!(via_range, via_filter, "seed {seed}");
         }
     }
 }

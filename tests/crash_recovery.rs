@@ -306,3 +306,84 @@ fn snapshot_file_is_byte_identical_to_the_reference_construction() {
     assert_eq!(report.replayed, 0, "{report:?}");
     assert_eq!(w.platform.base(w.base_a).durable_digest(), digest);
 }
+
+/// Calls that completed successfully since the last take.
+fn successes(w: &mut ProductionHalls) -> usize {
+    w.platform
+        .take_rpc_outcomes()
+        .iter()
+        .filter(|o| o.ok)
+        .count()
+}
+
+/// Monitored draws stream into the hall database through the base's
+/// durable store. A checkpoint waits until the log has outgrown the
+/// last snapshot, so snapshots grow geometrically with the store: the
+/// snapshot count grows with the logarithm of the store, where a fixed
+/// record cadence would take one snapshot per `snapshot_every` records.
+#[test]
+fn snapshot_count_grows_logarithmically_with_the_store() {
+    const DRAWS: u64 = 3_000;
+    const DRAWS_PER_STEP: u64 = 30;
+    let mut w = ProductionHalls::build(37);
+    w.platform.pump(6 * SEC);
+    let snapshots = |w: &ProductionHalls| {
+        w.platform
+            .telemetry()
+            .counter_value("durable.snapshot.count")
+    };
+    // `(store rows, snapshots so far)` after every step.
+    let mut samples = Vec::new();
+    let mut ok = 0;
+    for step in 0..DRAWS / DRAWS_PER_STEP {
+        for k in 0..DRAWS_PER_STEP {
+            let x = ((step * DRAWS_PER_STEP + k) % 40) as i64;
+            w.platform.rpc(
+                w.base_a,
+                w.robot,
+                "operator:1",
+                "DrawingService",
+                "drawLine",
+                vec![x, 0, x, 10],
+            );
+        }
+        w.platform.pump(SEC / 10);
+        ok += successes(&mut w);
+        samples.push((w.platform.base(w.base_a).store.len(), snapshots(&w)));
+    }
+    w.platform.pump(2 * SEC);
+    ok += successes(&mut w);
+    assert_eq!(ok as u64, DRAWS, "every draw succeeded");
+
+    // Each doubling of the store costs a bounded number of snapshots.
+    // (The store gains 12 rows per draw, so a fixed 256-record cadence
+    // would take one snapshot about every 21 draws: over 60 in the last half.)
+    let (rows, total) = *samples.last().unwrap();
+    assert!(rows > 30_000, "the store holds {rows} rows");
+    for &(n, count) in &samples {
+        let (_, earlier) = samples
+            .iter()
+            .rev()
+            .find(|(m, _)| 2 * m <= n)
+            .copied()
+            .unwrap_or((0, 0));
+        assert!(
+            count - earlier <= 3,
+            "{} snapshots while the store doubled to {n} rows: {samples:?}",
+            count - earlier
+        );
+    }
+    assert!(
+        total <= 2 * u64::from(rows.ilog2()),
+        "{total} snapshots for {rows} rows"
+    );
+
+    // The log since the last snapshot replays onto it byte for byte.
+    let digest = w.platform.base(w.base_a).durable_digest();
+    w.platform.crash_base(w.base_a);
+    let report = w.platform.restart_base(w.base_a);
+    assert!(report.is_clean(), "{report:?}");
+    assert!(report.snapshot_seq.is_some(), "{report:?}");
+    assert!(report.replayed > 0, "{report:?}");
+    assert_eq!(w.platform.base(w.base_a).durable_digest(), digest);
+}

@@ -8,6 +8,7 @@
 //! ```
 
 use pmp_bench::*;
+use pmp_core::rpc::InvocationSemantics;
 use pmp_spec::Size;
 
 const SEC: u64 = 1_000_000_000;
@@ -84,7 +85,6 @@ fn e18_stream() {
 /// latency regression and shrinking it to its kernel.
 fn e19_semantics_soak() {
     use pmp_chaos::{exec, shrink, soak, DriverKind, Op, Scenario, SoakConfig};
-    use pmp_core::rpc::InvocationSemantics;
     use pmp_core::Platform;
     use pmp_net::{LinkModel, Position};
     use pmp_vm::perm::Permissions;
@@ -156,12 +156,14 @@ fn e19_semantics_soak() {
                 pct >= 99.9,
                 "E19a: at-least-once delivery {pct:.2}% under bounded loss"
             ),
-            InvocationSemantics::Maybe => {}
+            InvocationSemantics::Maybe => {
+                assert_eq!(dups, 0, "E19a: a one-attempt maybe call executed twice");
+            }
         }
     }
     println!();
-    println!("(`maybe` rides the ledger-less legacy path, so its exec columns read 0;");
-    println!("its delivery column is the real fire-and-forget loss rate.)");
+    println!("(`maybe` is the engine's one-attempt policy: its exec columns count the");
+    println!("calls that reached the service, and a lost call expires with no outcome.)");
     println!();
 
     // ── E19b: soak mode catches a 2× latency regression ─────────────
@@ -631,13 +633,14 @@ fn e8_monitoring_pipeline() {
     let mut w = pmp_core::scenario::ProductionHalls::build(55);
     w.platform.pump(6 * SEC);
     for (x0, y0, x1, y1) in [(0, 0, 10, 0), (10, 0, 10, 10)] {
-        w.platform.rpc(
+        w.platform.rpc_with(
             w.base_a,
             w.robot,
             "operator:1",
             "DrawingService",
             "drawLine",
             vec![x0, y0, x1, y1],
+            InvocationSemantics::Maybe,
         );
         w.platform.pump(SEC);
     }

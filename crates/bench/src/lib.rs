@@ -5,6 +5,7 @@
 //! indexed in `DESIGN.md` and recorded against the paper's numbers in
 //! `EXPERIMENTS.md`.
 
+use pmp_core::rpc::InvocationSemantics;
 use pmp_core::{MobId, Platform};
 use pmp_net::Position;
 use pmp_prose::{Aspect, Crosscut, PortableClass, PortableMethod, Prose, WeaveOptions};
@@ -630,13 +631,14 @@ pub fn fed_handoff_run() -> FedHandoffResult {
     // Adapt + anti-entropy: the two catalogs converge before the roam.
     w.platform.pump(10 * SEC);
     for (x0, y0, x1, y1) in [(0, 0, 12, 0), (12, 0, 12, 12)] {
-        w.platform.rpc(
+        w.platform.rpc_with(
             w.base_a,
             w.robot,
             "operator:1",
             "DrawingService",
             "drawLine",
             vec![x0, y0, x1, y1],
+            InvocationSemantics::Maybe,
         );
         w.platform.pump(SEC);
     }
@@ -855,13 +857,14 @@ pub fn traced_rpc_overhead_run(calls: usize, tracing: bool) -> TraceOverheadResu
     w.platform.pump(6 * SEC);
     let t0 = std::time::Instant::now();
     for i in 0..calls {
-        w.platform.rpc(
+        w.platform.rpc_with(
             w.base_a,
             w.robot,
             "operator:1",
             "DrawingService",
             "moveTo",
             vec![(i % 20) as i64, 3],
+            InvocationSemantics::Maybe,
         );
         w.platform.pump(SEC / 20);
     }
@@ -1098,13 +1101,14 @@ pub fn stream_fanout_run(subscribers: usize, rounds: usize) -> StreamFanoutResul
     let sample_every = (subscribers / 2_048).max(1);
     for round in 0..rounds {
         let x = (round % 12) as i64;
-        w.platform.rpc(
+        w.platform.rpc_with(
             w.base_a,
             w.robot,
             "operator:1",
             "DrawingService",
             "drawLine",
             vec![x, 0, x + 8, 4],
+            InvocationSemantics::Maybe,
         );
         w.platform.pump(SEC);
         let t0 = std::time::Instant::now();

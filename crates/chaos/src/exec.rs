@@ -331,13 +331,14 @@ fn apply(w: &mut World, op: &Op) {
                 return;
             };
             if !w.p.base(b).crashed {
-                w.p.rpc(
+                w.p.rpc_with(
                     b,
                     m,
                     "operator:1",
                     "DrawingService",
                     "moveTo",
                     vec![i64::from(x), i64::from(y)],
+                    InvocationSemantics::Maybe,
                 );
             }
         }

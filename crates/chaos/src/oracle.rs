@@ -22,7 +22,7 @@
 //! | `adversarial-containment` | hostile packages never install on a node     |
 //! | `perf.soak-rpc-p99` | sim-time RPC p99 stays near the link baseline      |
 //! | `perf.soak-throughput` | every semantic call resolves within its window  |
-//! | `perf.soak-memory` | dedup tables and resolved FIFOs honour their caps   |
+//! | `perf.soak-memory` | every dedup table honours its FIFO cap               |
 //!
 //! The `perf.*` oracles are excluded from the cross-driver violation
 //! diff: the original `perf.adapt-p99` reads wall-clock histograms
@@ -292,7 +292,7 @@ pub fn check_barrier(
     adversarial_containment(p, nodes, now_ms, out);
     soak_rpc_p99(p, st, now_ms, out);
     soak_throughput(p, bases, st, now_ms, out);
-    soak_memory(p, bases, nodes, now_ms, out);
+    soak_memory(p, nodes, now_ms, out);
 }
 
 /// `rpc-duplicate-execution`: the tentpole at-most-once guarantee —
@@ -431,19 +431,10 @@ fn soak_throughput(
     }
 }
 
-/// `perf.soak-memory`: the RPC layer's long-horizon memory bounds —
-/// every server dedup table stays within its FIFO cap and every
-/// caller engine's resolved-id memory within [`RESOLVED_MEMORY`].
-/// Pure state inspection, sound under any script.
-///
-/// [`RESOLVED_MEMORY`]: pmp_core::rpc::RESOLVED_MEMORY
-fn soak_memory(
-    p: &Platform,
-    bases: &[BaseId],
-    nodes: &[MobId],
-    now_ms: u64,
-    out: &mut Vec<Violation>,
-) {
+/// `perf.soak-memory`: the RPC layer's long-horizon memory bound —
+/// every server dedup table stays within its FIFO cap. Pure state
+/// inspection, sound under any script.
+fn soak_memory(p: &Platform, nodes: &[MobId], now_ms: u64, out: &mut Vec<Violation>) {
     for &m in nodes {
         let node = p.node(m);
         let (len, cap) = (node.rpc_server.dedup.len(), node.rpc_server.dedup.cap());
@@ -452,24 +443,6 @@ fn soak_memory(
                 invariant: "perf.soak-memory",
                 at_ms: now_ms,
                 detail: format!("{}: dedup table holds {len} entries, cap {cap}", node.name),
-            });
-        }
-    }
-    for &b in bases {
-        let station = p.base(b);
-        if station.crashed {
-            continue;
-        }
-        let len = station.rpc.resolved_len();
-        if len > pmp_core::rpc::RESOLVED_MEMORY {
-            out.push(Violation {
-                invariant: "perf.soak-memory",
-                at_ms: now_ms,
-                detail: format!(
-                    "{}: resolved FIFO holds {len} ids, cap {}",
-                    station.name,
-                    pmp_core::rpc::RESOLVED_MEMORY
-                ),
             });
         }
     }

@@ -97,7 +97,6 @@ impl NodeCell<'_> {
                     dispatch_mobile(
                         node,
                         &mut self.state.port,
-                        &mut self.rpc,
                         &item.incoming,
                         Some(&self.state.tracer),
                     );
@@ -220,12 +219,13 @@ pub(crate) fn dispatch_base(
     handle_base_app(station, port, rpc, inc);
 }
 
-/// Drives the caller-side retransmission schedule: a fired `rpc.retry`
-/// timer either re-sends the outstanding call with the *same* request
-/// id (dedup is keyed on it) and arms the next backoff step, or — once
-/// the attempt budget is spent — resolves the call as a failed
-/// outcome. Runs inside the cell, so retries are sharded and merged
-/// exactly like any other network effect.
+/// Drives the caller-side timer schedule: a fired `rpc.retry` timer
+/// expires an unanswered maybe call silently, re-sends any other
+/// outstanding call with the *same* request id (dedup is keyed on it)
+/// and arms the next backoff step, or — once the attempt budget is
+/// spent — resolves the call as a failed outcome. Runs inside the cell,
+/// so retries are sharded and merged exactly like any other network
+/// effect.
 fn handle_rpc_retry(
     station: &mut BaseStation,
     port: &mut dyn NetPort,
@@ -235,7 +235,7 @@ fn handle_rpc_retry(
     let Incoming::Timer { token, tag } = inc else {
         return;
     };
-    if &**tag != crate::rpc::RPC_RETRY_TAG {
+    if *tag != crate::rpc::RPC_RETRY_TAG {
         return;
     }
     let Some(req) = station.rpc.take_timer(*token) else {
@@ -244,8 +244,14 @@ fn handle_rpc_retry(
     let Some(call) = station.rpc.get(req) else {
         return; // resolved before the timer fired
     };
+    if call.sem == crate::rpc::InvocationSemantics::Maybe {
+        // One attempt, no outcome: maybe semantics allow a lost call.
+        station.rpc.resolve(req);
+        return;
+    }
     if call.attempts >= crate::rpc::RPC_MAX_ATTEMPTS {
         let attempts = call.attempts;
+        let issued_at = call.issued_at;
         station.rpc.exhausted += 1;
         station.rpc.resolve(req);
         rpc.push(RpcOutcome {
@@ -253,6 +259,7 @@ fn handle_rpc_retry(
             ok: false,
             value: format!("rpc timeout after {attempts} attempts"),
             at: port.now().0,
+            issued_at,
         });
         return;
     }
@@ -260,21 +267,11 @@ fn handle_rpc_retry(
         return;
     };
     let call = station.rpc.get(req).expect("attempt noted on live call");
-    let msg = RpcMsg::CallSem {
-        caller: call.caller.clone(),
-        class: call.class.clone(),
-        method: call.method.clone(),
-        args: call.args.clone(),
-        req,
-        sem: call.sem,
-        attempt: attempts,
-    };
-    let target = NodeId(call.target);
     port.send(
         station.node,
-        target,
+        NodeId(call.target),
         RPC_CHANNEL,
-        pmp_trace::TraceCtx::NIL.wrap(&msg),
+        pmp_trace::TraceCtx::NIL.wrap(&call.frame(req)),
     );
     let delay = crate::rpc::backoff_delay(req, attempts);
     let token = port.set_timer(station.node, delay, crate::rpc::RPC_RETRY_TAG);
@@ -339,7 +336,6 @@ fn handle_base_federation(station: &mut BaseStation, port: &mut dyn NetPort, evs
 pub(crate) fn dispatch_mobile(
     node: &mut MobileNode,
     port: &mut PortBuf,
-    rpc: &mut Vec<RpcOutcome>,
     inc: &Incoming,
     tracer: Option<&Tracer>,
 ) {
@@ -356,7 +352,7 @@ pub(crate) fn dispatch_mobile(
         }
     }
     node.events.extend(evs);
-    handle_node_channels(node, port, rpc, inc);
+    handle_node_channels(node, port, inc);
     // Any advice dispatch this event caused closes armed
     // first-interception watches (the `midas.intercept` leaf span).
     if let Some(t) = tracer {
@@ -378,30 +374,21 @@ fn handle_base_app(
         return;
     };
     if &**channel == RPC_CHANNEL {
+        // Only an outstanding call produces an outcome: the first reply
+        // resolves it. Late duplicates from retransmission and answers
+        // to expired maybe calls find nothing outstanding and drop.
         if let Ok(Traced {
             msg: RpcMsg::Reply { req, ok, value },
             ..
         }) = pmp_wire::from_bytes::<Traced<RpcMsg>>(payload)
         {
-            if station.rpc.is_outstanding(req) {
-                // First reply to an engine-tracked call wins.
-                station.rpc.resolve(req);
+            if let Some(call) = station.rpc.resolve(req) {
                 rpc.push(RpcOutcome {
                     req,
                     ok,
                     value,
                     at: port.now().0,
-                });
-            } else if !station.rpc.recently_resolved(req) {
-                // A legacy (maybe-semantics) call the engine never
-                // tracked: surface it exactly as before. Replies to
-                // recently-resolved ids are late duplicates from
-                // retransmission — dropped.
-                rpc.push(RpcOutcome {
-                    req,
-                    ok,
-                    value,
-                    at: port.now().0,
+                    issued_at: call.issued_at,
                 });
             }
         }
@@ -446,12 +433,7 @@ fn handle_base_app(
     }
 }
 
-fn handle_node_channels(
-    node: &mut MobileNode,
-    port: &mut dyn NetPort,
-    rpc: &mut Vec<RpcOutcome>,
-    inc: &Incoming,
-) {
+fn handle_node_channels(node: &mut MobileNode, port: &mut dyn NetPort, inc: &Incoming) {
     let Incoming::Message {
         from,
         channel,
@@ -478,59 +460,42 @@ fn handle_node_channels(
     if &**channel != RPC_CHANNEL {
         return;
     }
-    let Ok(env) = pmp_wire::from_bytes::<Traced<RpcMsg>>(payload) else {
+    // Only base stations issue calls, and replies go to the caller: a
+    // node serves `CallSem` frames and nothing else on this channel.
+    let Ok(Traced {
+        ctx,
+        msg:
+            RpcMsg::CallSem {
+                caller,
+                class,
+                method,
+                args,
+                req,
+                sem,
+                ..
+            },
+    }) = pmp_wire::from_bytes::<Traced<RpcMsg>>(payload)
+    else {
         return;
     };
-    let ctx = env.ctx;
-    match env.msg {
-        RpcMsg::Call {
-            caller,
-            class,
-            method,
-            args,
-            req,
-        } => {
-            let (ok, value) = execute_service_call(node, caller, &class, &method, args);
+    use crate::rpc::InvocationSemantics as Sem;
+    // At-most-once: a duplicate whose id is cached is answered from the
+    // dedup table without touching the service.
+    if sem == Sem::AtMostOnce {
+        if let Some((ok, value)) = node.rpc_server.dedup.lookup(req).cloned() {
+            node.rpc_server.dedup.hits += 1;
             let reply = RpcMsg::Reply { req, ok, value };
             port.send(node.node, *from, RPC_CHANNEL, ctx.wrap(&reply));
-        }
-        RpcMsg::CallSem {
-            caller,
-            class,
-            method,
-            args,
-            req,
-            sem,
-            attempt: _,
-        } => {
-            use crate::rpc::InvocationSemantics as Sem;
-            // At-most-once: a duplicate whose id is cached is answered
-            // from the dedup table without touching the service.
-            if sem == Sem::AtMostOnce {
-                if let Some((ok, value)) = node.rpc_server.dedup.lookup(req).cloned() {
-                    node.rpc_server.dedup.hits += 1;
-                    let reply = RpcMsg::Reply { req, ok, value };
-                    port.send(node.node, *from, RPC_CHANNEL, ctx.wrap(&reply));
-                    return;
-                }
-            }
-            let (ok, value) = execute_service_call(node, caller, &class, &method, args);
-            node.rpc_server.note_execution(req, sem);
-            if sem == Sem::AtMostOnce {
-                node.rpc_server.dedup.insert(req, ok, value.clone());
-            }
-            let reply = RpcMsg::Reply { req, ok, value };
-            port.send(node.node, *from, RPC_CHANNEL, ctx.wrap(&reply));
-        }
-        RpcMsg::Reply { req, ok, value } => {
-            rpc.push(RpcOutcome {
-                req,
-                ok,
-                value,
-                at: port.now().0,
-            });
+            return;
         }
     }
+    let (ok, value) = execute_service_call(node, caller, &class, &method, args);
+    node.rpc_server.note_execution(req, sem);
+    if sem == Sem::AtMostOnce {
+        node.rpc_server.dedup.insert(req, ok, value.clone());
+    }
+    let reply = RpcMsg::Reply { req, ok, value };
+    port.send(node.node, *from, RPC_CHANNEL, ctx.wrap(&reply));
 }
 
 /// Runs one service invocation on the node's VM with `session.caller`
@@ -571,5 +536,84 @@ pub(crate) fn flush_outbox(node: &mut MobileNode, port: &mut dyn NetPort) {
     };
     for m in msgs {
         port.send(node.node, home, APP_CHANNEL, pmp_wire::to_bytes(&m));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::rpc::{InvocationSemantics, PendingCall};
+
+    fn issue(station: &mut BaseStation, req: u64, sem: InvocationSemantics) {
+        station.rpc.issue(
+            req,
+            PendingCall {
+                target: 9,
+                sem,
+                caller: "operator:1".into(),
+                class: "DrawingService".into(),
+                method: "moveTo".into(),
+                args: vec![1, 2],
+                attempts: 1,
+                issued_at: 10 + req,
+            },
+        );
+    }
+
+    fn reply(req: u64) -> Incoming {
+        let msg = RpcMsg::Reply {
+            req,
+            ok: true,
+            value: "()".into(),
+        };
+        Incoming::Message {
+            from: NodeId(9),
+            channel: Arc::from(RPC_CHANNEL),
+            payload: pmp_trace::TraceCtx::NIL.wrap(&msg),
+            sent_at: SimTime(0),
+        }
+    }
+
+    fn station() -> (BaseStation, PortBuf) {
+        let node = NodeId(0);
+        (
+            BaseStation::build(node, "hall", b"seed:hall"),
+            PortBuf::new(node, ClockHandle::new()),
+        )
+    }
+
+    #[test]
+    fn only_an_outstanding_call_produces_an_outcome() {
+        let (mut st, mut port) = station();
+        let mut rpc = Vec::new();
+        issue(&mut st, 42, InvocationSemantics::AtMostOnce);
+        issue(&mut st, 43, InvocationSemantics::Maybe);
+        // Late duplicates of 42 and 43 and an id never issued are dropped.
+        for req in [42, 42, 43, 43, 99] {
+            dispatch_base(&mut st, &mut port, &mut rpc, &reply(req));
+        }
+        let seen: Vec<(u64, u64)> = rpc.iter().map(|o| (o.req, o.issued_at)).collect();
+        assert_eq!(seen, [(42, 52), (43, 53)]);
+        assert_eq!(st.rpc.outstanding(), 0);
+    }
+
+    #[test]
+    fn an_unanswered_maybe_call_expires_silently() {
+        let (mut st, mut port) = station();
+        let mut rpc = Vec::new();
+        issue(&mut st, 7, InvocationSemantics::Maybe);
+        st.rpc.arm(5, 7);
+        let fire = Incoming::Timer {
+            token: 5,
+            tag: crate::rpc::RPC_RETRY_TAG,
+        };
+        dispatch_base(&mut st, &mut port, &mut rpc, &fire);
+        assert!(rpc.is_empty(), "expiry surfaces no outcome");
+        assert!(port.drain().is_empty(), "no resend, no new timer");
+        assert_eq!(st.rpc.retries, 0);
+        assert!(st.rpc.get(7).is_none());
+        // Its reply, arriving after the expiry, surfaces nothing either.
+        dispatch_base(&mut st, &mut port, &mut rpc, &reply(7));
+        assert!(rpc.is_empty());
     }
 }

@@ -4,7 +4,7 @@
 
 use crate::driver::{flush_outbox, CellBody, CellState, Driver, NodeCell};
 use crate::node::{BaseStation, MobileNode};
-use crate::wiring::{RpcMsg, RPC_CHANNEL};
+use crate::wiring::RPC_CHANNEL;
 use pmp_durable::{Durable, WalRecord};
 use pmp_midas::ReceiverPolicy;
 use pmp_net::{AreaId, Epoch, Position, SimTime, Simulator};
@@ -59,7 +59,7 @@ impl StreamSource for BaseSource<'_> {
 /// A completed remote call.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RpcOutcome {
-    /// The request id returned by [`Platform::rpc`].
+    /// The request id returned by [`Platform::rpc_with`].
     pub req: u64,
     /// Whether the call completed normally.
     pub ok: bool,
@@ -70,6 +70,8 @@ pub struct RpcOutcome {
     /// their order is a pure function of the simulation — not of which
     /// driver or thread count ran the cells.
     pub at: u64,
+    /// Simulated time the call was issued (its first transmission).
+    pub issued_at: u64,
 }
 
 /// The proactive middleware platform over one simulated world.
@@ -102,11 +104,6 @@ pub struct Platform {
     node_cells: Vec<CellState>,
     next_req: u64,
     rpc_outcomes: Vec<RpcOutcome>,
-    /// Issue time per in-flight request id, for the `rpc.latency_ns`
-    /// histogram recorded at outcome merge. Bounded: entries leave on
-    /// outcome, and the oldest are shed past a fixed cap (lost
-    /// maybe-calls never produce outcomes).
-    rpc_issue_at: std::collections::BTreeMap<u64, u64>,
     telemetry: pmp_telemetry::Shared,
     driver: Box<dyn Driver>,
     /// Base-tier span collector, fed from every cell tracer at epoch
@@ -170,7 +167,6 @@ impl Platform {
             node_cells: Vec::new(),
             next_req: 1,
             rpc_outcomes: Vec::new(),
-            rpc_issue_at: std::collections::BTreeMap::new(),
             telemetry,
             driver: crate::driver::driver_from_env(),
             collector: pmp_trace::Collector::default(),
@@ -719,44 +715,17 @@ impl Platform {
     }
 
     /// Issues a remote service call to `target` from `base`'s node
-    /// (Fig. 2: the remote invocation of `m_R`). The outcome arrives in
+    /// (Fig. 2: the remote invocation of `m_R`) with explicit invocation
+    /// semantics (DESIGN.md §17). The outcome arrives in
     /// [`Platform::take_rpc_outcomes`] after pumping.
-    pub fn rpc(
-        &mut self,
-        base: BaseId,
-        target: MobId,
-        caller: &str,
-        class: &str,
-        method: &str,
-        args: Vec<i64>,
-    ) -> u64 {
-        let req = self.next_req;
-        self.next_req += 1;
-        let msg = RpcMsg::Call {
-            caller: caller.to_string(),
-            class: class.to_string(),
-            method: method.to_string(),
-            args,
-            req,
-        };
-        let from = self.bases[base.0].node;
-        let to = self.nodes[target.0].node;
-        let ctx = self.base_cells[base.0].tracer.root(
-            self.sim.now().0,
-            "rpc.call",
-            &format!("{class}.{method} -> n{}", to.0),
-        );
-        self.note_rpc_issue(req);
-        self.sim.send(from, to, RPC_CHANNEL, ctx.wrap(&msg));
-        req
-    }
-
-    /// Issues a remote service call with explicit invocation semantics
-    /// (DESIGN.md §17). [`InvocationSemantics::Maybe`](crate::rpc::InvocationSemantics::Maybe)
-    /// behaves exactly like [`Platform::rpc`]: one transmission, no
-    /// retries. The other two register the call with `base`'s durable
-    /// RPC engine, which retransmits on a deterministic exponential
-    /// backoff until the first reply or the attempt budget resolves it.
+    ///
+    /// Every call is tracked by `base`'s RPC engine and armed with one
+    /// timer at [`backoff_delay`](crate::rpc::backoff_delay)`(req, 1)`.
+    /// [`InvocationSemantics::Maybe`](crate::rpc::InvocationSemantics::Maybe)
+    /// is the one-attempt policy: when that timer fires unanswered, the
+    /// call expires without an outcome. The other two retransmit on a
+    /// deterministic exponential backoff until the first reply or the
+    /// attempt budget resolves them.
     #[allow(clippy::too_many_arguments)]
     pub fn rpc_with(
         &mut self,
@@ -768,57 +737,33 @@ impl Platform {
         args: Vec<i64>,
         sem: crate::rpc::InvocationSemantics,
     ) -> u64 {
-        if sem == crate::rpc::InvocationSemantics::Maybe {
-            return self.rpc(base, target, caller, class, method, args);
-        }
         let req = self.next_req;
         self.next_req += 1;
         let from = self.bases[base.0].node;
         let to = self.nodes[target.0].node;
         let now = self.sim.now().0;
-        let msg = RpcMsg::CallSem {
+        let call = crate::rpc::PendingCall {
+            target: to.0,
+            sem,
             caller: caller.to_string(),
             class: class.to_string(),
             method: method.to_string(),
-            args: args.clone(),
-            req,
-            sem,
-            attempt: 1,
+            args,
+            attempts: 1,
+            issued_at: now,
         };
+        let msg = call.frame(req);
         let ctx = self.base_cells[base.0].tracer.root(
             now,
             "rpc.call",
             &format!("{class}.{method} [{sem}] -> n{}", to.0),
         );
-        let station = &mut self.bases[base.0];
-        station.rpc.issue(
-            req,
-            crate::rpc::PendingCall {
-                target: to.0,
-                sem,
-                caller: caller.to_string(),
-                class: class.to_string(),
-                method: method.to_string(),
-                args,
-                attempts: 1,
-                issued_at: now,
-            },
-        );
-        self.note_rpc_issue(req);
+        self.bases[base.0].rpc.issue(req, call);
         self.sim.send(from, to, RPC_CHANNEL, ctx.wrap(&msg));
         let delay = crate::rpc::backoff_delay(req, 1);
         let token = self.sim.set_timer(from, delay, crate::rpc::RPC_RETRY_TAG);
         self.bases[base.0].rpc.arm(token, req);
         req
-    }
-
-    /// Records the issue time of `req` for the `rpc.latency_ns`
-    /// histogram, shedding the oldest entries past a fixed cap.
-    fn note_rpc_issue(&mut self, req: u64) {
-        self.rpc_issue_at.insert(req, self.sim.now().0);
-        while self.rpc_issue_at.len() > 4_096 {
-            self.rpc_issue_at.pop_first();
-        }
     }
 
     /// Ships an already-sealed extension from `base` to its hall —
@@ -944,7 +889,6 @@ impl Platform {
             base_cells,
             node_cells,
             rpc_outcomes,
-            rpc_issue_at,
             telemetry,
             driver,
             collector,
@@ -1020,17 +964,12 @@ impl Platform {
             epoch_rpc.append(&mut cell.rpc);
         }
         epoch_rpc.sort_by_key(|o| (o.at, o.req));
-        for o in &epoch_rpc {
-            if let Some(issued) = rpc_issue_at.remove(&o.req) {
-                // Only successful calls feed the latency histogram: a
-                // timeout outcome lands at the end of the full backoff
-                // schedule (seconds), which is a delivery fact, not a
-                // latency sample — it would drown the p99 the soak SLO
-                // oracle watches.
-                if o.ok {
-                    telemetry.record("rpc.latency_ns", o.at.saturating_sub(issued));
-                }
-            }
+        // Only successful calls feed the latency histogram: a timeout
+        // outcome lands at the end of the full backoff schedule
+        // (seconds), which is a delivery fact, not a latency sample — it
+        // would drown the p99 the soak SLO oracle watches.
+        for o in epoch_rpc.iter().filter(|o| o.ok) {
+            telemetry.record("rpc.latency_ns", o.at.saturating_sub(o.issued_at));
         }
         rpc_outcomes.append(&mut epoch_rpc);
         drop(cells);

@@ -2,10 +2,15 @@
 //!
 //! The paper's RPC layer (§4.4) assumes one implicit semantic: fire a
 //! call, hope the radio cooperates. A hall with 20%+ link loss needs
-//! the classic spectrum instead — selectable per call:
+//! the classic spectrum instead — selectable per call, as policy over
+//! one mechanism. Every call goes through the caller base's
+//! [`RpcEngine`] and executes through the same server arm:
 //!
-//! * **Maybe** — one transmission, no retries, no dedup. The legacy
-//!   [`crate::Platform::rpc`] behaviour, byte-identical on the wire.
+//! * **Maybe** — one transmission, no retries, no dedup. The engine
+//!   tracks the call in memory only (no WAL record, not in the
+//!   snapshot) and arms one timer at [`backoff_delay`]`(req, 1)`; an
+//!   unanswered call expires there silently, with no outcome. A crash
+//!   forgets it, which the semantics allow.
 //! * **At-least-once** — the caller's base retransmits on a
 //!   deterministic exponential-backoff schedule until a reply arrives
 //!   or the attempt budget is exhausted. The server executes every
@@ -16,12 +21,16 @@
 //!   The table is persisted through [`pmp_durable::Durable`], so a
 //!   crash → restart never double-executes a call.
 //!
+//! Only an outstanding call produces an outcome: the first reply
+//! resolves it, and every other reply (a late duplicate from
+//! retransmission, an answer to an expired maybe call) is dropped.
+//!
 //! Three pieces live here: [`RpcEngine`] (caller side, owned by a base
-//! station; durable under `"rpc.calls"`), [`RpcServer`] (server side,
-//! owned by a mobile node; dedup table durable under `"rpc.dedup"`),
-//! and [`backoff_delay`] (the pure retry schedule — simulated time
-//! only, never the wall clock, so both drivers compute the same
-//! schedule from the same inputs).
+//! station; retransmitting calls durable under `"rpc.calls"`),
+//! [`RpcServer`] (server side, owned by a mobile node; dedup table
+//! durable under `"rpc.dedup"`), and [`backoff_delay`] (the pure retry
+//! schedule — simulated time only, never the wall clock, so both
+//! drivers compute the same schedule from the same inputs).
 
 use pmp_durable::{Durable, DurableError, NamespaceHandle};
 use pmp_net::SimRng;
@@ -122,7 +131,8 @@ pub fn backoff_delay(req: u64, attempt: u32) -> u64 {
 pub struct PendingCall {
     /// Destination node id (raw `NodeId.0`).
     pub target: u32,
-    /// Requested semantics (never `Maybe` — those bypass the engine).
+    /// Requested semantics. A `Maybe` call is memory-only: it is never
+    /// logged, snapshotted or retransmitted.
     pub sem: InvocationSemantics,
     /// Caller identity.
     pub caller: String,
@@ -136,6 +146,21 @@ pub struct PendingCall {
     pub attempts: u32,
     /// Simulated time the call was issued, for latency histograms.
     pub issued_at: u64,
+}
+
+impl PendingCall {
+    /// The wire frame of this call's latest attempt.
+    pub(crate) fn frame(&self, req: u64) -> crate::wiring::RpcMsg {
+        crate::wiring::RpcMsg::CallSem {
+            caller: self.caller.clone(),
+            class: self.class.clone(),
+            method: self.method.clone(),
+            args: self.args.clone(),
+            req,
+            sem: self.sem,
+            attempt: self.attempts,
+        }
+    }
 }
 
 impl Wire for PendingCall {
@@ -205,25 +230,21 @@ impl Wire for CallOp {
     }
 }
 
-/// How many resolved request ids the engine remembers, to drop late
-/// duplicate replies without growing without bound.
-pub const RESOLVED_MEMORY: usize = 1_024;
-
 /// Caller-side call table of one base station.
 ///
-/// Tracks every semantic (`AtMostOnce`/`AtLeastOnce`) call issued
-/// through this base: the outstanding set drives retransmission
-/// timers, the resolved FIFO filters late duplicate replies, and both
-/// are durable so a crash → restart resumes retrying with the *same*
-/// request ids (the server's dedup table then makes resumption safe
-/// for at-most-once calls). Timer tokens are deliberately *not*
-/// durable: [`RpcEngine::rearm_tokens`] hands the restart path the
-/// outstanding set so the platform can arm fresh timers.
+/// Tracks every call issued through this base: the outstanding set
+/// drives the timers (retransmission, or a maybe call's expiry), and
+/// a reply produces an outcome only while its call is outstanding.
+/// Retransmitting calls (`AtMostOnce`/`AtLeastOnce`) are durable, so a
+/// crash → restart resumes retrying with the *same* request ids (the
+/// server's dedup table then makes resumption safe for at-most-once
+/// calls); `Maybe` calls live in memory only. Timer tokens are
+/// deliberately *not* durable: [`RpcEngine::rearm_tokens`] hands the
+/// restart path the outstanding set so the platform can arm fresh
+/// timers.
 #[derive(Debug, Default)]
 pub struct RpcEngine {
     calls: BTreeMap<u64, PendingCall>,
-    /// Recently-resolved ids, FIFO-bounded to [`RESOLVED_MEMORY`].
-    resolved: VecDeque<u64>,
     /// Live timer token → request id (rebuilt after restart).
     timers: BTreeMap<u64, u64>,
     handle: Option<NamespaceHandle>,
@@ -231,6 +252,12 @@ pub struct RpcEngine {
     pub retries: u64,
     /// Calls that exhausted their budget (telemetry; not durable).
     pub exhausted: u64,
+}
+
+/// Whether a call belongs in the WAL and the snapshot: only calls that
+/// retransmit have anything to resume after a crash.
+fn durable(call: &PendingCall) -> bool {
+    call.sem != InvocationSemantics::Maybe
 }
 
 impl RpcEngine {
@@ -254,10 +281,12 @@ impl RpcEngine {
     /// Records a freshly-issued call (the initial transmission is
     /// attempt 1; the caller sends it and arms the first timer).
     pub fn issue(&mut self, req: u64, call: PendingCall) {
-        self.log(&CallOp::Issue {
-            req,
-            call: call.clone(),
-        });
+        if durable(&call) {
+            self.log(&CallOp::Issue {
+                req,
+                call: call.clone(),
+            });
+        }
         self.calls.insert(req, call);
     }
 
@@ -272,29 +301,15 @@ impl RpcEngine {
         Some(attempts)
     }
 
-    /// Resolves `req` (first reply, or budget exhausted). Returns the
-    /// call if it was outstanding; `None` means a duplicate or
-    /// unknown id, which the caller must ignore.
+    /// Resolves `req` (first reply, budget exhausted, or a maybe call's
+    /// expiry). Returns the call if it was outstanding; `None` means a
+    /// duplicate, expired or unknown id, which the caller must ignore.
     pub fn resolve(&mut self, req: u64) -> Option<PendingCall> {
         let call = self.calls.remove(&req)?;
-        self.log(&CallOp::Resolve { req });
-        self.resolved.push_back(req);
-        if self.resolved.len() > RESOLVED_MEMORY {
-            self.resolved.pop_front();
+        if durable(&call) {
+            self.log(&CallOp::Resolve { req });
         }
         Some(call)
-    }
-
-    /// Whether `req` is outstanding.
-    #[must_use]
-    pub fn is_outstanding(&self, req: u64) -> bool {
-        self.calls.contains_key(&req)
-    }
-
-    /// Whether `req` resolved recently (a late duplicate reply).
-    #[must_use]
-    pub fn recently_resolved(&self, req: u64) -> bool {
-        self.resolved.contains(&req)
     }
 
     /// The outstanding call for `req`, if any.
@@ -307,13 +322,6 @@ impl RpcEngine {
     #[must_use]
     pub fn outstanding(&self) -> usize {
         self.calls.len()
-    }
-
-    /// Length of the resolved-id FIFO; never exceeds
-    /// [`RESOLVED_MEMORY`] (the soak memory oracle asserts this).
-    #[must_use]
-    pub fn resolved_len(&self) -> usize {
-        self.resolved.len()
     }
 
     /// Outstanding request ids in ascending order — the restart path
@@ -342,14 +350,11 @@ impl Durable for RpcEngine {
 
     fn snapshot_bytes(&self) -> Vec<u8> {
         let mut w = Writer::new();
-        w.put_u32(self.calls.len() as u32);
-        for (req, call) in &self.calls {
+        let n = self.calls.values().filter(|c| durable(c)).count();
+        w.put_u32(n as u32);
+        for (req, call) in self.calls.iter().filter(|(_, c)| durable(c)) {
             w.put_u64(*req);
             call.encode(&mut w);
-        }
-        w.put_u32(self.resolved.len() as u32);
-        for req in &self.resolved {
-            w.put_u64(*req);
         }
         w.into_bytes()
     }
@@ -362,13 +367,7 @@ impl Durable for RpcEngine {
             let req = r.get_u64()?;
             calls.insert(req, PendingCall::decode(&mut r)?);
         }
-        let m = r.get_u32()?;
-        let mut resolved = VecDeque::with_capacity(m as usize);
-        for _ in 0..m {
-            resolved.push_back(r.get_u64()?);
-        }
         self.calls = calls;
-        self.resolved = resolved;
         self.timers.clear();
         Ok(())
     }
@@ -384,12 +383,7 @@ impl Durable for RpcEngine {
                 }
             }
             CallOp::Resolve { req } => {
-                if self.calls.remove(&req).is_some() {
-                    self.resolved.push_back(req);
-                    if self.resolved.len() > RESOLVED_MEMORY {
-                        self.resolved.pop_front();
-                    }
-                }
+                self.calls.remove(&req);
             }
         }
         Ok(())
@@ -686,23 +680,36 @@ mod tests {
             attempts: 1,
             issued_at: 10,
         };
+        let maybe = PendingCall {
+            sem: InvocationSemantics::Maybe,
+            ..call.clone()
+        };
         e.issue(42, call);
-        assert!(e.is_outstanding(42));
+        assert!(e.get(42).is_some());
         assert_eq!(e.note_attempt(42), Some(2));
-        hub.commit();
         let digest = e.state_digest();
+        // A maybe call is tracked in memory only: outstanding, but in
+        // neither the snapshot nor the WAL.
+        e.issue(43, maybe);
+        assert!(e.get(43).is_some());
+        assert_eq!(e.state_digest(), digest);
+        hub.commit();
 
-        // WAL replay rebuilds the same state.
+        // WAL replay rebuilds the same state, without the maybe call.
         hub.crash();
         let mut r = RpcEngine::new();
         hub.recover(&mut [&mut r]);
         assert_eq!(r.state_digest(), digest);
         assert_eq!(r.get(42).unwrap().attempts, 2);
+        assert!(r.get(43).is_none());
+        assert_eq!(r.outstanding(), 1);
 
-        // Resolution removes and remembers.
+        // Resolution removes: a second resolve surfaces nothing, which
+        // is how a late reply for 42 is dropped.
         assert!(r.resolve(42).is_some());
         assert!(r.resolve(42).is_none(), "double resolve is filtered");
-        assert!(r.recently_resolved(42));
+        assert!(r.get(42).is_none());
+        assert_eq!(r.outstanding(), 0);
     }
 
     #[test]

@@ -104,11 +104,14 @@ impl Wire for AppMsg {
     }
 }
 
-/// A remote service call and its reply.
+/// A remote service call and its reply. Wire tag 0 is reserved: it
+/// named the retired semantics-less call frame, and decoding rejects it.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RpcMsg {
-    /// Invoke `class.method` on the target's exposed service object.
-    Call {
+    /// Invoke `class.method` on the target's exposed service object,
+    /// with explicit invocation semantics (see
+    /// [`crate::rpc::InvocationSemantics`]).
+    CallSem {
         /// Caller identity (becomes `session.caller` during dispatch).
         caller: String,
         /// Service class name.
@@ -116,31 +119,6 @@ pub enum RpcMsg {
         /// Method name.
         method: String,
         /// Integer arguments (the drawing API is integer-based).
-        args: Vec<i64>,
-        /// Correlation id.
-        req: u64,
-    },
-    /// The outcome.
-    Reply {
-        /// Correlation id.
-        req: u64,
-        /// Whether the call completed normally.
-        ok: bool,
-        /// Display form of the return value, or the error text.
-        value: String,
-    },
-    /// A call carrying explicit invocation semantics (see
-    /// [`crate::rpc::InvocationSemantics`]). A separate wire tag keeps
-    /// the legacy `Call`/`Reply` encodings byte-identical, so every
-    /// pinned trace from before the semantics work still replays.
-    CallSem {
-        /// Caller identity.
-        caller: String,
-        /// Service class name.
-        class: String,
-        /// Method name.
-        method: String,
-        /// Integer arguments.
         args: Vec<i64>,
         /// Correlation id (stable across retransmissions).
         req: u64,
@@ -150,25 +128,20 @@ pub enum RpcMsg {
         /// server keys dedup on `req`, never on the attempt.
         attempt: u32,
     },
+    /// The outcome, sent back to the caller's base.
+    Reply {
+        /// Correlation id.
+        req: u64,
+        /// Whether the call completed normally.
+        ok: bool,
+        /// Display form of the return value, or the error text.
+        value: String,
+    },
 }
 
 impl Wire for RpcMsg {
     fn encode(&self, w: &mut Writer) {
         match self {
-            RpcMsg::Call {
-                caller,
-                class,
-                method,
-                args,
-                req,
-            } => {
-                w.put_u8(0);
-                w.put_str(caller);
-                w.put_str(class);
-                w.put_str(method);
-                args.encode(w);
-                w.put_u64(*req);
-            }
             RpcMsg::Reply { req, ok, value } => {
                 w.put_u8(1);
                 w.put_u64(*req);
@@ -197,13 +170,6 @@ impl Wire for RpcMsg {
     }
     fn decode(r: &mut Reader) -> Result<Self, WireError> {
         Ok(match r.get_u8()? {
-            0 => RpcMsg::Call {
-                caller: r.get_str()?,
-                class: r.get_str()?,
-                method: r.get_str()?,
-                args: Vec::<i64>::decode(r)?,
-                req: r.get_u64()?,
-            },
             1 => RpcMsg::Reply {
                 req: r.get_u64()?,
                 ok: r.get_bool()?,
@@ -357,15 +323,49 @@ mod tests {
 
     #[test]
     fn rpc_roundtrips() {
-        let m = RpcMsg::Call {
-            caller: "operator:1".into(),
-            class: "DrawingService".into(),
-            method: "drawLine".into(),
-            args: vec![0, 0, 5, 5],
+        use crate::rpc::InvocationSemantics as Sem;
+        let mut msgs: Vec<RpcMsg> = [Sem::Maybe, Sem::AtMostOnce, Sem::AtLeastOnce]
+            .into_iter()
+            .map(|sem| RpcMsg::CallSem {
+                caller: "operator:1".into(),
+                class: "DrawingService".into(),
+                method: "drawLine".into(),
+                args: vec![0, 0, 5, -5],
+                req: 3,
+                sem,
+                attempt: 2,
+            })
+            .collect();
+        msgs.push(RpcMsg::Reply {
             req: 3,
-        };
-        let bytes = pmp_wire::to_bytes(&m);
-        assert_eq!(pmp_wire::from_bytes::<RpcMsg>(&bytes).unwrap(), m);
+            ok: false,
+            value: "no service".into(),
+        });
+        for m in msgs {
+            let bytes = pmp_wire::to_bytes(&m);
+            assert_eq!(pmp_wire::from_bytes::<RpcMsg>(&bytes).unwrap(), m);
+        }
+    }
+
+    #[test]
+    fn retired_call_tag_is_rejected() {
+        // Tag 0 was the call frame without semantics; a peer that still
+        // sent it gets a decode error, never a panic or a mis-parse.
+        let mut bytes = vec![0];
+        for s in ["operator:1", "DrawingService", "drawLine"] {
+            bytes.extend(pmp_wire::to_bytes(&s.to_string()));
+        }
+        bytes.extend(pmp_wire::to_bytes(&vec![0i64, 0, 5, 5]));
+        bytes.extend(pmp_wire::to_bytes(&3u64));
+        assert_eq!(
+            pmp_wire::from_bytes::<RpcMsg>(&bytes),
+            Err(WireError::InvalidTag {
+                type_name: "RpcMsg",
+                tag: 0,
+                offset: 0,
+            })
+        );
+        assert!(pmp_wire::from_bytes::<RpcMsg>(&[0]).is_err());
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub enum Incoming {
         /// The token returned when the timer was set.
         token: u64,
         /// The caller-supplied tag.
-        tag: Arc<str>,
+        tag: &'static str,
     },
 }
 

@@ -38,7 +38,7 @@ pub trait NetPort {
     /// Arms a one-shot timer and returns its token. Tokens from a
     /// buffering port come from a disjoint per-node namespace so they
     /// never collide with the simulator's sequential tokens.
-    fn set_timer(&mut self, node: NodeId, delay_ns: u64, tag: &str) -> u64;
+    fn set_timer(&mut self, node: NodeId, delay_ns: u64, tag: &'static str) -> u64;
 }
 
 /// A buffered network effect, replayed against the scheduler at an
@@ -82,7 +82,7 @@ pub enum NetCmd {
         /// Delay from `at` to firing.
         delay_ns: u64,
         /// Tag echoed in the firing.
-        tag: String,
+        tag: &'static str,
     },
 }
 
@@ -176,7 +176,7 @@ impl NetPort for PortBuf {
         0
     }
 
-    fn set_timer(&mut self, node: NodeId, delay_ns: u64, tag: &str) -> u64 {
+    fn set_timer(&mut self, node: NodeId, delay_ns: u64, tag: &'static str) -> u64 {
         self.token_counter += 1;
         let token = self.token_base | self.token_counter;
         self.cmds.push(NetCmd::Timer {
@@ -184,7 +184,7 @@ impl NetPort for PortBuf {
             node,
             token,
             delay_ns,
-            tag: tag.to_string(),
+            tag,
         });
         token
     }

@@ -54,7 +54,7 @@ enum Pending {
     TimerFire {
         node: NodeId,
         token: u64,
-        tag: Arc<str>,
+        tag: &'static str,
     },
     Move {
         node: NodeId,
@@ -401,7 +401,7 @@ impl Simulator {
 
     /// Sets a one-shot timer on a node; the token identifies the firing
     /// in the inbox.
-    pub fn set_timer(&mut self, node: NodeId, delay_ns: u64, tag: &str) -> u64 {
+    pub fn set_timer(&mut self, node: NodeId, delay_ns: u64, tag: &'static str) -> u64 {
         let token = self.next_timer_token;
         self.next_timer_token += 1;
         let at = self.now().plus(delay_ns);
@@ -410,7 +410,7 @@ impl Simulator {
             Pending::TimerFire {
                 node,
                 token,
-                tag: Arc::from(tag),
+                tag,
             },
         );
         token
@@ -690,7 +690,7 @@ impl Simulator {
                     Pending::TimerFire {
                         node,
                         token,
-                        tag: Arc::from(tag.as_str()),
+                        tag,
                     },
                 );
             }
@@ -717,7 +717,7 @@ impl NetPort for Simulator {
         Simulator::broadcast(self, from, channel, payload)
     }
 
-    fn set_timer(&mut self, node: NodeId, delay_ns: u64, tag: &str) -> u64 {
+    fn set_timer(&mut self, node: NodeId, delay_ns: u64, tag: &'static str) -> u64 {
         Simulator::set_timer(self, node, delay_ns, tag)
     }
 }

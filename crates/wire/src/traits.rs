@@ -325,59 +325,155 @@ mod tests {
         assert_eq!(crate::to_bytes(&samples), per_element(&samples));
     }
 
-    // Property tests need the external `proptest` crate; the offline
-    // default build gates them behind the (empty) `proptest` feature.
-    #[cfg(feature = "proptest")]
+    // -- Seeded property suites: each case draws from one splitmix64
+    // seed, so a failing case reproduces exactly from the seed in its
+    // message. The generator is local because the simulator's `SimRng`
+    // lives in pmp-net, which depends on this crate. --
+
     mod props {
         use super::*;
-        use proptest::prelude::*;
 
-        proptest! {
-            #[test]
-            fn prop_u64_roundtrip(v: u64) {
-                prop_assert_eq!(crate::from_bytes::<u64>(&crate::to_bytes(&v)).unwrap(), v);
+        /// Seeded cases per property (proptest's default case count).
+        const CASES: u64 = 256;
+
+        /// splitmix64, the same mixer as pmp-net's `SimRng`.
+        struct Rng(u64);
+
+        impl Rng {
+            fn next_u64(&mut self) -> u64 {
+                self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = self.0;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                z ^ (z >> 31)
             }
 
-            #[test]
-            fn prop_i64_roundtrip(v: i64) {
-                prop_assert_eq!(crate::from_bytes::<i64>(&crate::to_bytes(&v)).unwrap(), v);
+            /// Uniform in `0..n` (`n > 0`).
+            fn below(&mut self, n: u64) -> u64 {
+                ((u128::from(self.next_u64()) * u128::from(n)) >> 64) as u64
             }
 
-            #[test]
-            fn prop_string_roundtrip(s in ".*") {
-                let s: String = s;
-                prop_assert_eq!(crate::from_bytes::<String>(&crate::to_bytes(&s)).unwrap(), s);
+            /// Any magnitude: a random value shifted right by a random
+            /// amount, so every varint length shows up.
+            fn int(&mut self) -> u64 {
+                let shift = self.below(64);
+                self.next_u64() >> shift
             }
 
-            #[test]
-            fn prop_bytes_roundtrip(b in proptest::collection::vec(any::<u8>(), 0..512)) {
-                prop_assert_eq!(crate::from_bytes::<Vec<u8>>(&crate::to_bytes(&b)).unwrap(), b);
+            /// Up to `max - 1` random bytes.
+            fn bytes(&mut self, max: u64) -> Vec<u8> {
+                (0..self.below(max)).map(|_| self.next_u64() as u8).collect()
             }
 
-            #[test]
-            fn prop_vec_string_roundtrip(v in proptest::collection::vec(".*", 0..16)) {
-                let v: Vec<String> = v;
-                prop_assert_eq!(crate::from_bytes::<Vec<String>>(&crate::to_bytes(&v)).unwrap(), v);
+            /// Up to 31 chars mixing ASCII, 2-, 3- and 4-byte UTF-8.
+            fn string(&mut self) -> String {
+                (0..self.below(32))
+                    .map(|_| {
+                        let limit = [0x80, 0x800, 0x1_0000, 0x11_0000][self.below(4) as usize];
+                        loop {
+                            if let Some(c) = char::from_u32(self.below(limit) as u32) {
+                                break c;
+                            }
+                        }
+                    })
+                    .collect()
             }
+        }
 
-            #[test]
-            fn prop_map_roundtrip(m in proptest::collection::btree_map(any::<u64>(), ".*", 0..16)) {
-                let m: BTreeMap<u64, String> = m;
-                prop_assert_eq!(crate::from_bytes::<BTreeMap<u64, String>>(&crate::to_bytes(&m)).unwrap(), m);
+        /// Runs `case` once per seed in `0..CASES`.
+        fn for_each_seed(mut case: impl FnMut(u64, &mut Rng)) {
+            for seed in 0..CASES {
+                case(seed, &mut Rng(seed));
             }
+        }
 
-            #[test]
-            fn prop_decoding_random_bytes_never_panics(b in proptest::collection::vec(any::<u8>(), 0..256)) {
-                let _ = crate::from_bytes::<Sample>(&b);
-                let _ = crate::from_bytes::<Vec<String>>(&b);
-                let _ = crate::from_bytes::<BTreeMap<String, u64>>(&b);
-            }
+        fn roundtrip<T: Wire + PartialEq + std::fmt::Debug>(seed: u64, v: &T) {
+            let back = crate::from_bytes::<T>(&crate::to_bytes(v));
+            assert_eq!(back.as_ref(), Ok(v), "seed {seed}");
+        }
 
-            #[test]
-            fn prop_canonical_equal_values_equal_bytes(v1 in proptest::collection::vec(any::<i64>(), 0..32)) {
-                let v2 = v1.clone();
-                prop_assert_eq!(crate::to_bytes(&v1), crate::to_bytes(&v2));
-            }
+        #[test]
+        fn u64_roundtrip() {
+            for_each_seed(|seed, rng| roundtrip(seed, &rng.int()));
+        }
+
+        #[test]
+        fn i64_roundtrip() {
+            for_each_seed(|seed, rng| {
+                let v = rng.int() as i64;
+                roundtrip(seed, &v);
+                roundtrip(seed, &v.wrapping_neg());
+            });
+        }
+
+        #[test]
+        fn string_roundtrip() {
+            for_each_seed(|seed, rng| roundtrip(seed, &rng.string()));
+        }
+
+        #[test]
+        fn bytes_roundtrip() {
+            for_each_seed(|seed, rng| roundtrip(seed, &rng.bytes(512)));
+        }
+
+        #[test]
+        fn vec_string_roundtrip() {
+            for_each_seed(|seed, rng| {
+                let v: Vec<String> = (0..rng.below(16)).map(|_| rng.string()).collect();
+                roundtrip(seed, &v);
+            });
+        }
+
+        #[test]
+        fn map_roundtrip() {
+            for_each_seed(|seed, rng| {
+                let m: BTreeMap<u64, String> =
+                    (0..rng.below(16)).map(|_| (rng.int(), rng.string())).collect();
+                roundtrip(seed, &m);
+            });
+        }
+
+        /// Random bytes, and valid encodings with one byte overwritten,
+        /// never panic a decoder.
+        #[test]
+        fn decoding_random_bytes_never_panics() {
+            for_each_seed(|_, rng| {
+                let mut inputs = vec![rng.bytes(256)];
+                let sample = Sample {
+                    a: rng.next_u64() as u32,
+                    b: rng.string(),
+                    c: (0..rng.below(8)).map(|_| rng.int()).collect(),
+                    d: (rng.below(2) == 0).then(|| rng.int() as i64),
+                };
+                let mut valid = crate::to_bytes(&sample);
+                let at = rng.below(valid.len() as u64) as usize;
+                valid[at] = rng.next_u64() as u8;
+                inputs.push(valid);
+                for b in &inputs {
+                    let _ = crate::from_bytes::<Sample>(b);
+                    let _ = crate::from_bytes::<Vec<String>>(b);
+                    let _ = crate::from_bytes::<BTreeMap<String, u64>>(b);
+                }
+            });
+        }
+
+        /// Equal values encode to equal bytes whatever order built them,
+        /// and decode → encode reproduces the bytes exactly.
+        #[test]
+        fn canonical_equal_values_equal_bytes() {
+            for_each_seed(|seed, rng| {
+                let v: Vec<i64> = (0..rng.below(32)).map(|_| rng.int() as i64).collect();
+                let pairs: Vec<(u64, i64)> = v.iter().map(|&x| (x as u64 % 64, x)).collect();
+                let forward: BTreeMap<u64, i64> = pairs.iter().copied().collect();
+                let mut backward = BTreeMap::new();
+                for &(k, x) in pairs.iter().rev() {
+                    backward.entry(k).or_insert(x);
+                }
+                assert_eq!(crate::to_bytes(&forward), crate::to_bytes(&backward), "seed {seed}");
+                let bytes = crate::to_bytes(&v);
+                let back = crate::from_bytes::<Vec<i64>>(&bytes).unwrap();
+                assert_eq!(crate::to_bytes(&back), bytes, "seed {seed}");
+            });
         }
     }
 }

@@ -7,6 +7,7 @@
 //! cargo run --example plotter_monitoring
 //! ```
 
+use pmp::core::rpc::InvocationSemantics;
 use pmp::core::Platform;
 use pmp::extensions;
 use pmp::net::Position;
@@ -49,7 +50,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         (10, 22, 20, 15),
     ];
     for (x0, y0, x1, y1) in house {
-        p.rpc(base, plotter, "operator:1", "DrawingService", "drawLine", vec![x0, y0, x1, y1]);
+        p.rpc_with(
+            base,
+            plotter,
+            "operator:1",
+            "DrawingService",
+            "drawLine",
+            vec![x0, y0, x1, y1],
+            InvocationSemantics::Maybe,
+        );
         p.pump(SEC / 2);
     }
     p.pump(3 * SEC);

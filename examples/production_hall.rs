@@ -7,6 +7,7 @@
 //! cargo run --example production_hall
 //! ```
 
+use pmp::core::rpc::InvocationSemantics;
 use pmp::core::{ProductionHalls, CORRIDOR, IN_HALL_B};
 
 const SEC: u64 = 1_000_000_000;
@@ -30,13 +31,15 @@ fn main() {
 
     // An authorized operator draws remotely; the hall logs every motor
     // command into its database.
-    let ok = w.platform.rpc(
+    let ok = w.platform.rpc_with(
         w.base_a, w.robot, "operator:1", "DrawingService", "drawLine",
         vec![0, 0, 20, 0],
+        InvocationSemantics::Maybe,
     );
-    let denied = w.platform.rpc(
+    let denied = w.platform.rpc_with(
         w.base_a, w.robot, "saboteur", "DrawingService", "drawLine",
         vec![0, 0, 99, 99],
+        InvocationSemantics::Maybe,
     );
     w.platform.pump(3 * SEC);
     for o in w.platform.take_rpc_outcomes() {
@@ -58,11 +61,13 @@ fn main() {
     w.platform.pump(6 * SEC);
     show(&w, "robot entered hall B");
 
-    let inside = w.platform.rpc(
+    let inside = w.platform.rpc_with(
         w.base_b, w.robot, "anyone", "DrawingService", "moveTo", vec![20, 20],
+        InvocationSemantics::Maybe,
     );
-    let outside = w.platform.rpc(
+    let outside = w.platform.rpc_with(
         w.base_b, w.robot, "anyone", "DrawingService", "moveTo", vec![55, 5],
+        InvocationSemantics::Maybe,
     );
     w.platform.pump(3 * SEC);
     for o in w.platform.take_rpc_outcomes() {

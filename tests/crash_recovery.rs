@@ -8,6 +8,7 @@
 //! committed image (torn tail, bit flip) and assert recovery degrades
 //! to a clean prefix instead of panicking.
 
+use pmp::core::rpc::InvocationSemantics;
 use pmp::core::{Driver, ParallelDriver, ProductionHalls, SerialDriver};
 use pmp::durable::record::encode_framed;
 use pmp::durable::{Durable, RecoverReport};
@@ -19,9 +20,9 @@ const SEC: u64 = 1_000_000_000;
 
 /// Length and FNV-1a 64 hash of the snapshot file that
 /// `snapshot_file_is_byte_identical_to_the_reference_construction`
-/// checkpoints, recorded with the clone-then-encode checkpoint.
-const SNAPSHOT_LEN: usize = 189_102;
-const SNAPSHOT_FNV: u64 = 0x5860_7f24_75ea_9449;
+/// checkpoints, as the test's own reference construction writes it.
+const SNAPSHOT_LEN: usize = 189_098;
+const SNAPSHOT_FNV: u64 = 0xa237_cd01_1cd8_0cbf;
 
 /// Pre-crash fingerprint of everything the base must get back.
 #[derive(Debug, PartialEq)]
@@ -62,13 +63,14 @@ fn warmed_world(seed: u64, driver: Box<dyn Driver>) -> ProductionHalls {
     // folds them — plus the freshly granted leases — into the snapshot
     // baseline, so post-snapshot records are pure WAL replay.
     w.platform.checkpoint_base(w.base_a);
-    let draw = w.platform.rpc(
+    let draw = w.platform.rpc_with(
         w.base_a,
         w.robot,
         "operator:1",
         "DrawingService",
         "drawLine",
         vec![0, 0, 10, 0],
+        InvocationSemantics::Maybe,
     );
     w.platform.pump(2 * SEC);
     let outcomes = w.platform.take_rpc_outcomes();
@@ -109,13 +111,14 @@ fn crash_cycle(driver: Box<dyn Driver>) -> (BaseState, RecoverReport) {
     // Liveness: the recovered base still renews leases and still logs
     // movements from fresh calls.
     w.platform.pump(6 * SEC);
-    let draw = w.platform.rpc(
+    let draw = w.platform.rpc_with(
         w.base_a,
         w.robot,
         "operator:1",
         "DrawingService",
         "drawLine",
         vec![10, 0, 10, 5],
+        InvocationSemantics::Maybe,
     );
     w.platform.pump(2 * SEC);
     let outcomes = w.platform.take_rpc_outcomes();
@@ -261,9 +264,9 @@ fn snapshot_file_is_byte_identical_to_the_reference_construction() {
         .durable
         .with(|e| e.disk().read(&snaps[0]).unwrap().to_vec());
 
-    // Length and hash of this file as written by the per-record-clone,
-    // per-byte encoder and bytewise CRC that preceded the one-pass
-    // checkpoint. They cover every namespace blob, the frame and its CRC.
+    // Length and hash of this file as the per-record-clone, per-byte
+    // reference construction below writes it. They cover every
+    // namespace blob, the frame and its CRC.
     assert_eq!(
         (on_disk.len(), fnv1a(&on_disk)),
         (SNAPSHOT_LEN, SNAPSHOT_FNV),
@@ -338,13 +341,14 @@ fn snapshot_count_grows_logarithmically_with_the_store() {
     for step in 0..DRAWS / DRAWS_PER_STEP {
         for k in 0..DRAWS_PER_STEP {
             let x = ((step * DRAWS_PER_STEP + k) % 40) as i64;
-            w.platform.rpc(
+            w.platform.rpc_with(
                 w.base_a,
                 w.robot,
                 "operator:1",
                 "DrawingService",
                 "drawLine",
                 vec![x, 0, x, 10],
+                InvocationSemantics::Maybe,
             );
         }
         w.platform.pump(SEC / 10);

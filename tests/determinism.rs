@@ -8,6 +8,7 @@
 //! robot's canvas. A single diverging RNG draw, reordered delivery, or
 //! racy journal write flips a digest.
 
+use pmp::core::rpc::InvocationSemantics;
 use pmp::core::{
     Driver, ParallelDriver, Platform, ProductionHalls, SerialDriver, CORRIDOR, IN_HALL_B,
 };
@@ -63,34 +64,37 @@ fn run_production(driver: Box<dyn Driver>) -> Fingerprint {
     w.platform.sim.trace.set_logging(true);
 
     w.platform.pump(6 * SEC);
-    let draw = w.platform.rpc(
+    let draw = w.platform.rpc_with(
         w.base_a,
         w.robot,
         "operator:1",
         "DrawingService",
         "drawLine",
         vec![0, 0, 10, 0],
+        InvocationSemantics::Maybe,
     );
     w.platform.pump(2 * SEC);
     w.platform.move_node(w.robot, CORRIDOR);
     w.platform.pump(12 * SEC);
     w.platform.move_node(w.robot, IN_HALL_B);
     w.platform.pump(6 * SEC);
-    let fenced_ok = w.platform.rpc(
+    let fenced_ok = w.platform.rpc_with(
         w.base_b,
         w.robot,
         "anyone",
         "DrawingService",
         "moveTo",
         vec![20, 20],
+        InvocationSemantics::Maybe,
     );
-    let fenced_bad = w.platform.rpc(
+    let fenced_bad = w.platform.rpc_with(
         w.base_b,
         w.robot,
         "anyone",
         "DrawingService",
         "moveTo",
         vec![50, 5],
+        InvocationSemantics::Maybe,
     );
     w.platform.pump(2 * SEC);
     w.platform
@@ -218,7 +222,6 @@ fn serial_runs_are_repeatable() {
 /// cell order; the drained outcome *sequence* must still be identical
 /// under both drivers and monotone in `(at, req)`.
 fn run_outcome_order(driver: Box<dyn Driver>) -> (Fingerprint, Vec<(u64, u64)>) {
-    use pmp::core::rpc::InvocationSemantics;
     let name = driver.name();
     let mut p = Platform::with_link(55, LinkModel::lossy(0.20));
     p.set_driver(driver);

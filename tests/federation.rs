@@ -2,6 +2,7 @@
 //! lookups over a registrar tree, re-delivery-free roaming between
 //! replicated halls, and federation topology surviving a base restart.
 
+use pmp::core::rpc::InvocationSemantics;
 use pmp::core::scenario::{ProductionHalls, IN_HALL_A, IN_HALL_B};
 use pmp::core::{BaseId, Platform};
 use pmp::discovery::{DiscoveryEvent, ServiceItem, ServiceQuery};
@@ -71,13 +72,14 @@ fn federated_roam_migrates_grants_and_history_without_redelivery() {
     w.platform.pump(10 * SEC);
 
     for (x0, y0, x1, y1) in [(0, 0, 12, 0), (12, 0, 12, 12)] {
-        w.platform.rpc(
+        w.platform.rpc_with(
             w.base_a,
             w.robot,
             "operator:1",
             "DrawingService",
             "drawLine",
             vec![x0, y0, x1, y1],
+            InvocationSemantics::Maybe,
         );
         w.platform.pump(SEC);
     }

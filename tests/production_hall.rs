@@ -3,6 +3,7 @@
 //! session + access control on remote calls, monitoring into the hall
 //! database, revocation on departure, and per-hall policy differences.
 
+use pmp::core::rpc::InvocationSemantics;
 use pmp::core::{ProductionHalls, CORRIDOR, IN_HALL_B};
 use pmp::midas::ReceiverEvent;
 use pmp::telemetry::Subsystem;
@@ -32,13 +33,14 @@ fn entering_hall_a_installs_the_full_catalog() {
 #[test]
 fn authorized_operator_draws_and_movements_reach_the_hall_database() {
     let mut w = adapted_world();
-    let req = w.platform.rpc(
+    let req = w.platform.rpc_with(
         w.base_a,
         w.robot,
         "operator:1",
         "DrawingService",
         "drawLine",
         vec![0, 0, 10, 0],
+        InvocationSemantics::Maybe,
     );
     w.platform.pump(2 * SEC);
 
@@ -67,13 +69,14 @@ fn authorized_operator_draws_and_movements_reach_the_hall_database() {
 #[test]
 fn unauthorized_caller_is_denied_by_the_access_control_extension() {
     let mut w = adapted_world();
-    let req = w.platform.rpc(
+    let req = w.platform.rpc_with(
         w.base_a,
         w.robot,
         "intruder:99",
         "DrawingService",
         "drawLine",
         vec![0, 0, 10, 0],
+        InvocationSemantics::Maybe,
     );
     w.platform.pump(2 * SEC);
 
@@ -124,22 +127,24 @@ fn hall_b_applies_its_own_policy_geofence() {
     );
 
     // Inside the fence: allowed.
-    let ok_req = w.platform.rpc(
+    let ok_req = w.platform.rpc_with(
         w.base_b,
         w.robot,
         "anyone",
         "DrawingService",
         "moveTo",
         vec![20, 20],
+        InvocationSemantics::Maybe,
     );
     // Outside the fence: denied (paper §4.5 "Control").
-    let bad_req = w.platform.rpc(
+    let bad_req = w.platform.rpc_with(
         w.base_b,
         w.robot,
         "anyone",
         "DrawingService",
         "moveTo",
         vec![50, 5],
+        InvocationSemantics::Maybe,
     );
     w.platform.pump(2 * SEC);
     let outcomes = w.platform.take_rpc_outcomes();
@@ -156,13 +161,14 @@ fn hall_b_applies_its_own_policy_geofence() {
 #[test]
 fn telemetry_agrees_with_legacy_stats() {
     let mut w = adapted_world();
-    w.platform.rpc(
+    w.platform.rpc_with(
         w.base_a,
         w.robot,
         "operator:1",
         "DrawingService",
         "drawLine",
         vec![0, 0, 10, 0],
+        InvocationSemantics::Maybe,
     );
     w.platform.pump(2 * SEC);
     // A manual checkpoint, so the snapshot path's samples exist too.
@@ -255,13 +261,14 @@ fn revoking_billing_settles_charges_at_the_base() {
 
     // Ten motor actions at rate 2.
     for i in 1..=5 {
-        w.platform.rpc(
+        w.platform.rpc_with(
             w.base_b,
             w.robot,
             "anyone",
             "DrawingService",
             "moveTo",
             vec![i, i],
+            InvocationSemantics::Maybe,
         );
     }
     w.platform.pump(3 * SEC);

@@ -2,6 +2,7 @@
 //! remote replication (mirrored and scaled robots) and simulation
 //! (replay from the hall database), plus live policy evolution.
 
+use pmp::core::rpc::InvocationSemantics;
 use pmp::core::{Platform, ProductionHalls};
 use pmp::extensions;
 use pmp::net::Position;
@@ -42,13 +43,14 @@ fn remote_replication_mirrors_the_drawing() {
 
     // Draw a square on the source via remote calls.
     for (x0, y0, x1, y1) in [(0, 0, 10, 0), (10, 0, 10, 10), (10, 10, 0, 10), (0, 10, 0, 0)] {
-        p.rpc(
+        p.rpc_with(
             base,
             source,
             "operator:1",
             "DrawingService",
             "drawLine",
             vec![x0, y0, x1, y1],
+            InvocationSemantics::Maybe,
         );
         p.pump(SEC);
     }
@@ -69,13 +71,14 @@ fn scaled_replication_amplifies_the_drawing() {
     p.mirror(base, "robot:src", replica, 3, 1);
     p.pump(6 * SEC);
 
-    p.rpc(
+    p.rpc_with(
         base,
         source,
         "operator:1",
         "DrawingService",
         "drawLine",
         vec![0, 0, 10, 0],
+        InvocationSemantics::Maybe,
     );
     p.pump(4 * SEC);
 
@@ -96,13 +99,14 @@ fn replay_from_the_hall_database_reproduces_the_figure() {
     let mut w = ProductionHalls::build(31);
     w.platform.pump(6 * SEC);
     for (x0, y0, x1, y1) in [(0, 0, 12, 0), (12, 0, 12, 8)] {
-        w.platform.rpc(
+        w.platform.rpc_with(
             w.base_a,
             w.robot,
             "operator:1",
             "DrawingService",
             "drawLine",
             vec![x0, y0, x1, y1],
+            InvocationSemantics::Maybe,
         );
         w.platform.pump(SEC);
     }
@@ -140,13 +144,14 @@ fn policy_evolution_replaces_extensions_on_live_robots() {
     assert!(w.platform.node(w.robot).receiver.is_installed("ext/monitoring"));
 
     // Draw once: movements logged.
-    w.platform.rpc(
+    w.platform.rpc_with(
         w.base_a,
         w.robot,
         "operator:1",
         "DrawingService",
         "drawLine",
         vec![0, 0, 5, 0],
+        InvocationSemantics::Maybe,
     );
     w.platform.pump(2 * SEC);
     let logged_before = w.platform.base(w.base_a).store.len();
@@ -163,21 +168,23 @@ fn policy_evolution_replaces_extensions_on_live_robots() {
     w.platform.pump(3 * SEC);
 
     // operator:1 is no longer allowed; operator:3 now is.
-    let old = w.platform.rpc(
+    let old = w.platform.rpc_with(
         w.base_a,
         w.robot,
         "operator:1",
         "DrawingService",
         "moveTo",
         vec![1, 1],
+        InvocationSemantics::Maybe,
     );
-    let new = w.platform.rpc(
+    let new = w.platform.rpc_with(
         w.base_a,
         w.robot,
         "operator:3",
         "DrawingService",
         "moveTo",
         vec![2, 2],
+        InvocationSemantics::Maybe,
     );
     w.platform.pump(2 * SEC);
     let outcomes = w.platform.take_rpc_outcomes();

@@ -8,6 +8,7 @@
 //! built purely from drained stream events must converge to the
 //! publisher's state digest at every barrier.
 
+use pmp::core::rpc::InvocationSemantics;
 use pmp::core::{
     Driver, ParallelDriver, Platform, ProductionHalls, SerialDriver, StreamEvent, StreamSub,
 };
@@ -81,13 +82,14 @@ fn run_stream(driver: Box<dyn Driver>) -> StreamRun {
 
     // A drawing RPC: the monitoring extension reports movements to the
     // base, which WAL-logs them into "store.movements".
-    w.platform.rpc(
+    w.platform.rpc_with(
         base_a,
         w.robot,
         "operator:1",
         "DrawingService",
         "drawLine",
         vec![0, 0, 10, 0],
+        InvocationSemantics::Maybe,
     );
     w.platform.pump(3 * SEC);
     drain_all(&mut w.platform, &subs, &mut log, &mut mirror);

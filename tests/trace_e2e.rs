@@ -4,6 +4,7 @@
 //! serial and parallel execution drivers, with the flight recorder
 //! surviving a base crash and riding along in `.repro` artifacts.
 
+use pmp::core::rpc::InvocationSemantics;
 use pmp::chaos::script::{CatalogEntry, ExtKind, Op, Scenario, Step, Topology};
 use pmp::chaos::{exec, repro, DriverKind};
 use pmp::core::{BaseId, MobId, ParallelDriver, Platform, SerialDriver};
@@ -70,13 +71,14 @@ fn three_halls(seed: u64, loss: f64, parallel: bool) -> (Platform, Vec<BaseId>, 
 fn publish_and_intercept(p: &mut Platform, bases: &[BaseId], nodes: &[MobId]) {
     p.publish_extension(bases[0], &ExtKind::Monitoring.package(1));
     p.pump(6 * SEC);
-    p.rpc(
+    p.rpc_with(
         bases[0],
         nodes[0],
         "operator:1",
         "DrawingService",
         "moveTo",
         vec![7, 3],
+        InvocationSemantics::Maybe,
     );
     p.pump(2 * SEC);
 }

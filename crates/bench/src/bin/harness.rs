@@ -32,7 +32,7 @@ fn main() {
     e9_security();
     e10_conciseness();
     e11_verification_cost();
-    e12_driver_scaling();
+    e12_cell_order();
     e13_durability();
     e14_chaos();
     e15_tracing_overhead();
@@ -185,7 +185,7 @@ fn e19_semantics_soak() {
     for (label, sc) in [("clean", &clean), ("regressed", &regressed)] {
         for (dname, driver) in [
             ("serial", DriverKind::Serial),
-            ("parallel(3)", DriverKind::Parallel),
+            ("permuted", DriverKind::Permuted),
         ] {
             let t0 = Instant::now();
             let report = exec::run(sc, driver);
@@ -757,7 +757,7 @@ fn e13_durability() {
 }
 
 /// E14 — DESIGN.md §12: chaos-harness throughput (full generate +
-/// execute + oracle cycles per second under each epoch driver) and the
+/// execute + oracle cycles per second in each cell order) and the
 /// cost of delta-debug shrinking a failure to its kernel.
 fn e14_chaos() {
     use pmp_chaos::{exec, gen, shrink, DriverKind, GenConfig, Op};
@@ -777,7 +777,7 @@ fn e14_chaos() {
     println!("|---|---|---|---|---|");
     for (label, kind) in [
         ("serial", DriverKind::Serial),
-        ("parallel(3)", DriverKind::Parallel),
+        ("permuted", DriverKind::Permuted),
     ] {
         let t0 = Instant::now();
         let mut violations = 0usize;
@@ -1041,60 +1041,35 @@ fn e11_verification_cost() {
     println!();
 }
 
-/// E12 — sharded execution: serial vs parallel driver wall-clock on
-/// the E6 distribution workload, with the determinism digests printed
-/// so any divergence is visible at a glance. Speedup only materialises
-/// on a multi-core host; on one core the parallel driver degrades to
-/// the serial pipeline and the interesting column is "digests".
-fn e12_driver_scaling() {
-    use pmp_core::{ParallelDriver, SerialDriver};
-
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    println!("## E12 — parallel driver scaling on the E6 distribution workload");
+/// E12 — cell-order independence: the E6 distribution workload run in
+/// rank order and in a seeded permuted cell order (DESIGN.md §10). The
+/// serial wall clock is the best of three; the row's claim is that
+/// both determinism digests agree.
+fn e12_cell_order() {
+    println!("## E12 — cell-order independence on the E6 distribution workload");
     println!();
-    println!("(host parallelism: {cores} — speedup > 1 needs a multi-core host)");
-    println!();
-    println!("| nodes | serial (ms) | parallel (ms) | speedup | trace digest | journal digest | digests match |");
-    println!("|---|---|---|---|---|---|---|");
-    let best_of = |mk: &dyn Fn() -> pmp_bench::DriverScalingResult| {
-        let mut best = mk();
+    println!("| nodes | serial (ms) | trace digest | journal digest | permuted digests match |");
+    println!("|---|---|---|---|---|");
+    for n in [8usize, 16, 64] {
+        let mut s = cell_order_run(n, None);
         for _ in 0..2 {
-            let r = mk();
-            assert_eq!(r.trace_digest, best.trace_digest, "E12 repeat diverged");
-            if r.wall_ms < best.wall_ms {
-                best = r;
+            let r = cell_order_run(n, None);
+            assert_eq!(r.trace_digest, s.trace_digest, "E12 repeat diverged");
+            if r.wall_ms < s.wall_ms {
+                s = r;
             }
         }
-        best
-    };
-    for n in [8usize, 16, 64] {
-        let s = best_of(&|| driver_scaling_run(n, Box::new(SerialDriver)));
-        let p = best_of(&|| driver_scaling_run(n, Box::new(ParallelDriver::default())));
+        let p = cell_order_run(n, Some(3));
         assert!(s.all_adapted && p.all_adapted, "E12({n}): adaptation never converged");
         let matches = s.trace_digest == p.trace_digest && s.journal_digest == p.journal_digest;
         println!(
-            "| {} | {:.1} | {:.1} | {:.2}x | {:016x} | {:016x} | {} |",
+            "| {} | {:.1} | {:016x} | {:016x} | {} |",
             n,
             s.wall_ms,
-            p.wall_ms,
-            s.wall_ms / p.wall_ms,
             s.trace_digest,
             s.journal_digest,
             if matches { "yes" } else { "NO — DIVERGED" },
         );
     }
-    // A pinned many-worker run exercises the threaded path even where
-    // available_parallelism() is 1 (ParallelDriver::default would fall
-    // back inline), so the digest proof never silently degrades.
-    let s = driver_scaling_run(64, Box::new(SerialDriver));
-    let p4 = driver_scaling_run(64, Box::new(ParallelDriver { threads: 4 }));
-    println!();
-    println!(
-        "64-node pinned 4-thread check: trace {} journal {}",
-        if s.trace_digest == p4.trace_digest { "match" } else { "DIVERGED" },
-        if s.journal_digest == p4.journal_digest { "match" } else { "DIVERGED" },
-    );
     println!();
 }

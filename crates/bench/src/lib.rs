@@ -349,7 +349,7 @@ pub struct DistributionResult {
 
 /// Builds the E6 world: one hall base with a billing catalog and `n`
 /// devices on a circle, all in range. Shared by [`distribution_run`]
-/// and the E12 driver-scaling runs so both pump the same event stream.
+/// and the E12 cell-order runs so both pump the same event stream.
 pub fn distribution_world(n: usize) -> (Platform, Vec<MobId>) {
     let mut p = Platform::new(1000 + n as u64);
     p.add_area("hall", Position::new(0.0, 0.0), Position::new(100.0, 100.0));
@@ -449,14 +449,14 @@ pub fn revocation_run(lease_ns: u64) -> RevocationResult {
 }
 
 // ---------------------------------------------------------------------
-// E12 — driver scaling (wall-clock, digest-checked)
+// E12 — cell-order independence (digest-checked)
 // ---------------------------------------------------------------------
 
-/// Result of one E12 run: the E6 distribution workload executed under
-/// a chosen [`pmp_core::Driver`], with wall-clock cost and the two
+/// Result of one E12 run: the E6 distribution workload executed in
+/// rank or permuted cell order, with wall-clock cost and the two
 /// determinism digests (DESIGN.md §10).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DriverScalingResult {
+pub struct CellOrderResult {
     /// Number of receiver nodes.
     pub nodes: usize,
     /// Wall-clock milliseconds spent pumping (world build excluded).
@@ -469,17 +469,18 @@ pub struct DriverScalingResult {
     pub all_adapted: bool,
 }
 
-/// Runs the E6 distribution workload under `driver`: `n` devices adapt
-/// at once — the busy epochs fan the crypto-verify, admission-analysis
-/// and weave work across all `n` cells — then a fixed 5 s settle tail
-/// keeps the steady-state renewal traffic in the measurement. The seed
-/// and schedule are identical across drivers, so digests must match.
-pub fn driver_scaling_run(
-    n: usize,
-    driver: Box<dyn pmp_core::Driver>,
-) -> DriverScalingResult {
+/// Runs the E6 distribution workload: `n` devices adapt at once — the
+/// busy epochs hold crypto-verify, admission-analysis and weave work in
+/// all `n` cells — then a fixed 5 s settle tail keeps the steady-state
+/// renewal traffic in the measurement. `permute` runs each epoch's
+/// cells in the order seeded by it ([`Platform::permute_cells`])
+/// instead of rank order; the seed and schedule are otherwise
+/// identical, so digests must match.
+pub fn cell_order_run(n: usize, permute: Option<u64>) -> CellOrderResult {
     let (mut p, ids) = distribution_world(n);
-    p.set_driver(driver);
+    if let Some(order_seed) = permute {
+        p.permute_cells(order_seed);
+    }
     p.sim.trace.set_logging(true);
     let step = SEC / 10;
     let started = std::time::Instant::now();
@@ -497,14 +498,14 @@ pub fn driver_scaling_run(
         }
         // A fixed settle tail after full adaptation: renewals and lease
         // sweeps keep every cell mildly busy, and a *fixed* endpoint
-        // keeps the event stream identical across drivers.
+        // keeps the event stream identical across cell orders.
         if let Some(at) = adapted_at {
             if elapsed >= at + 5 * SEC {
                 break;
             }
         }
     }
-    DriverScalingResult {
+    CellOrderResult {
         nodes: n,
         wall_ms: started.elapsed().as_secs_f64() * 1e3,
         trace_digest: p.trace_digest(),
@@ -1248,9 +1249,9 @@ mod tests {
     }
 
     #[test]
-    fn driver_scaling_digests_agree() {
-        let s = driver_scaling_run(3, Box::new(pmp_core::SerialDriver));
-        let p = driver_scaling_run(3, Box::new(pmp_core::ParallelDriver { threads: 3 }));
+    fn cell_order_digests_agree() {
+        let s = cell_order_run(3, None);
+        let p = cell_order_run(3, Some(3));
         assert!(s.all_adapted && p.all_adapted);
         assert_eq!(s.trace_digest, p.trace_digest);
         assert_eq!(s.journal_digest, p.journal_digest);

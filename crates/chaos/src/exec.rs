@@ -22,7 +22,7 @@ use crate::script::{
     STREAM_NAMESPACES,
 };
 use pmp_core::rpc::InvocationSemantics;
-use pmp_core::{BaseId, MobId, ParallelDriver, Platform, RpcOutcome, SerialDriver};
+use pmp_core::{BaseId, MobId, Platform, RpcOutcome};
 use pmp_crypto::KeyPair;
 use pmp_midas::{ExtensionMeta, ExtensionPackage, SignedExtension};
 use pmp_net::{LinkModel, Position};
@@ -32,13 +32,14 @@ use pmp_vm::op::Op as VmOp;
 use pmp_vm::perm::{Permission, Permissions};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// Which node-execution driver to run the platform under.
+/// The order the platform runs each epoch's node cells in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DriverKind {
-    /// The golden reference: rank order, one thread.
+    /// The golden reference: rank order.
     Serial,
-    /// Scoped worker threads with the epoch-barrier merge.
-    Parallel,
+    /// A seeded random order per epoch ([`Platform::permute_cells`]
+    /// with a fixed seed).
+    Permuted,
 }
 
 impl DriverKind {
@@ -47,7 +48,7 @@ impl DriverKind {
     pub fn name(self) -> &'static str {
         match self {
             DriverKind::Serial => "serial",
-            DriverKind::Parallel => "parallel",
+            DriverKind::Permuted => "permuted",
         }
     }
 }
@@ -82,15 +83,15 @@ impl RunReport {
     }
 }
 
-/// A serial + parallel pair over the same scenario, with the
+/// A serial + permuted pair over the same scenario, with the
 /// cross-driver oracle applied.
 #[derive(Debug, Clone)]
 pub struct CrossReport {
     /// The serial run.
     pub serial: RunReport,
-    /// The parallel run.
-    pub parallel: RunReport,
-    /// All violations: serial's, parallel's, plus any `cross-driver`
+    /// The permuted run.
+    pub permuted: RunReport,
+    /// All violations: serial's, permuted's, plus any `cross-driver`
     /// mismatches.
     pub violations: Vec<Violation>,
 }
@@ -106,9 +107,9 @@ impl CrossReport {
 /// Pump quantum between oracle barriers, ms. A constant: changing it
 /// changes observation times and therefore run reports.
 const SLICE_MS: u64 = 250;
-/// Worker cap for the parallel driver — fixed, not host-derived, so
-/// reports cannot depend on the machine.
-const PARALLEL_THREADS: usize = 3;
+/// Cell-order seed of [`DriverKind::Permuted`] runs. A constant, so a
+/// permuted report is as reproducible as a serial one.
+const PERMUTE_SEED: u64 = 3;
 
 struct World {
     p: Platform,
@@ -154,11 +155,8 @@ fn build(sc: &Scenario, driver: DriverKind) -> World {
         LinkModel::lossy(f64::from(t.loss_per_mille) / 1000.0)
     };
     let mut p = Platform::with_link(sc.seed, link);
-    match driver {
-        DriverKind::Serial => p.set_driver(Box::new(SerialDriver)),
-        DriverKind::Parallel => p.set_driver(Box::new(ParallelDriver {
-            threads: PARALLEL_THREADS,
-        })),
+    if driver == DriverKind::Permuted {
+        p.permute_cells(PERMUTE_SEED);
     }
     p.sim.trace.set_logging(true);
     p.set_tracing(true);
@@ -744,56 +742,56 @@ pub fn run(sc: &Scenario, driver: DriverKind) -> RunReport {
     }
 }
 
-/// Runs `sc` under both drivers and applies the `cross-driver` oracle:
+/// Runs `sc` in both cell orders and applies the `cross-driver` oracle:
 /// trace digest, journal digest, observables, and even the violation
 /// lists must match exactly.
 #[must_use]
 pub fn run_cross(sc: &Scenario) -> CrossReport {
     let serial = run(sc, DriverKind::Serial);
-    let parallel = run(sc, DriverKind::Parallel);
+    let permuted = run(sc, DriverKind::Permuted);
     let mut violations = serial.violations.clone();
-    violations.extend(parallel.violations.clone());
+    violations.extend(permuted.violations.clone());
 
     let end_ms = last_ms(sc);
-    if serial.trace != parallel.trace {
+    if serial.trace != permuted.trace {
         violations.push(Violation {
             invariant: "cross-driver",
             at_ms: end_ms,
             detail: format!(
-                "trace digest diverged: serial {:#018x} vs parallel {:#018x}",
-                serial.trace, parallel.trace
+                "trace digest diverged: serial {:#018x} vs permuted {:#018x}",
+                serial.trace, permuted.trace
             ),
         });
     }
-    if serial.journal != parallel.journal {
+    if serial.journal != permuted.journal {
         violations.push(Violation {
             invariant: "cross-driver",
             at_ms: end_ms,
             detail: format!(
-                "journal digest diverged: serial {:#018x} vs parallel {:#018x}",
-                serial.journal, parallel.journal
+                "journal digest diverged: serial {:#018x} vs permuted {:#018x}",
+                serial.journal, permuted.journal
             ),
         });
     }
-    if serial.span_digest != parallel.span_digest {
+    if serial.span_digest != permuted.span_digest {
         violations.push(Violation {
             invariant: "cross-driver",
             at_ms: end_ms,
             detail: format!(
-                "span digest diverged: serial {:#018x} vs parallel {:#018x}",
-                serial.span_digest, parallel.span_digest
+                "span digest diverged: serial {:#018x} vs permuted {:#018x}",
+                serial.span_digest, permuted.span_digest
             ),
         });
     }
-    if serial.observables != parallel.observables {
+    if serial.observables != permuted.observables {
         let detail = serial
             .observables
             .iter()
-            .zip(parallel.observables.iter())
+            .zip(permuted.observables.iter())
             .find(|(a, b)| a != b)
             .map_or_else(
                 || "observable line counts differ".to_string(),
-                |(a, b)| format!("first divergence:\n  serial:   {a}\n  parallel: {b}"),
+                |(a, b)| format!("first divergence:\n  serial:   {a}\n  permuted: {b}"),
             );
         violations.push(Violation {
             invariant: "cross-driver",
@@ -809,7 +807,7 @@ pub fn run_cross(sc: &Scenario) -> CrossReport {
         .iter()
         .filter(|v| !v.invariant.starts_with("perf."))
         .collect();
-    let pv: Vec<_> = parallel
+    let pv: Vec<_> = permuted
         .violations
         .iter()
         .filter(|v| !v.invariant.starts_with("perf."))
@@ -818,12 +816,12 @@ pub fn run_cross(sc: &Scenario) -> CrossReport {
         violations.push(Violation {
             invariant: "cross-driver",
             at_ms: end_ms,
-            detail: format!("oracle outcomes diverged: serial {sv:?} vs parallel {pv:?}"),
+            detail: format!("oracle outcomes diverged: serial {sv:?} vs permuted {pv:?}"),
         });
     }
     CrossReport {
         serial,
-        parallel,
+        permuted,
         violations,
     }
 }

@@ -4,7 +4,7 @@
 //! compiles into an explicit [`script::Scenario`] (topology churn,
 //! extension distribution, link loss, partitions, base crashes, disk
 //! faults), the [`exec`] layer replays it against the real
-//! [`pmp_core::Platform`] under the serial or parallel driver, the
+//! [`pmp_core::Platform`] in serial or permuted cell order, the
 //! [`oracle`] layer checks global invariants at every pump barrier,
 //! and failures are minimized by [`shrink()`] and committed as
 //! [`repro`] files that CI replays forever.
@@ -21,7 +21,7 @@
 //! ```
 //!
 //! Everything is deterministic: same seed, same bytes out, regardless
-//! of driver, thread count, or host. See DESIGN.md §12 for the
+//! of cell order or host. See DESIGN.md §12 for the
 //! invariant catalog and the soundness notes behind each slack window.
 
 #![warn(missing_docs)]
@@ -58,23 +58,23 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    /// And across drivers: the cross oracle finds nothing on a healthy
-    /// seed.
+    /// And across cell orders: the cross oracle finds nothing on a
+    /// healthy seed.
     #[test]
-    fn serial_and_parallel_agree_on_a_quiet_seed() {
+    fn serial_and_permuted_agree_on_a_quiet_seed() {
         let sc = generate(2, &GenConfig::default());
         let cross = run_cross(&sc);
         assert_eq!(
-            cross.serial.trace, cross.parallel.trace,
+            cross.serial.trace, cross.permuted.trace,
             "trace diverged"
         );
-        assert_eq!(cross.serial.observables, cross.parallel.observables);
+        assert_eq!(cross.serial.observables, cross.permuted.observables);
     }
 
     /// Cross-driver determinism with the federation enabled: a
     /// handcrafted scenario that links two halls, lets a robot roam
     /// across the federated pair, and partitions/heals the backhaul
-    /// must produce byte-identical digests under both drivers with no
+    /// must produce byte-identical digests in both cell orders with no
     /// oracle violations.
     #[test]
     fn federation_scenario_is_cross_driver_deterministic() {
@@ -123,17 +123,17 @@ mod tests {
             "federated scenario must be clean: {:?}",
             cross.violations
         );
-        assert_eq!(cross.serial.trace, cross.parallel.trace);
-        assert_eq!(cross.serial.journal, cross.parallel.journal);
-        assert_eq!(cross.serial.observables, cross.parallel.observables);
+        assert_eq!(cross.serial.trace, cross.permuted.trace);
+        assert_eq!(cross.serial.journal, cross.permuted.journal);
+        assert_eq!(cross.serial.observables, cross.permuted.observables);
     }
 
     /// The `stream-resync` oracle under the full failure vocabulary:
     /// subscribers on all three namespaces attached before traffic, a
     /// late one attached *after* a checkpoint (the compacted WAL forces
     /// the snapshot bootstrap path), a crash → restart in the middle
-    /// (forced resync), and a drop at the end — all clean, under both
-    /// drivers, byte for byte.
+    /// (forced resync), and a drop at the end — all clean, in both
+    /// cell orders, byte for byte.
     #[test]
     fn stream_subscribers_survive_crash_restart_and_checkpoint() {
         let step = |at_ms, op| Step { at_ms, op };
@@ -200,8 +200,8 @@ mod tests {
             "stream chaos scenario must be clean: {:?}",
             cross.violations
         );
-        assert_eq!(cross.serial.trace, cross.parallel.trace);
-        assert_eq!(cross.serial.observables, cross.parallel.observables);
+        assert_eq!(cross.serial.trace, cross.permuted.trace);
+        assert_eq!(cross.serial.observables, cross.permuted.observables);
     }
 
     /// Generated scenarios now carry Subscribe/DropSubscriber ops; a

@@ -1,7 +1,7 @@
 //! The chaos CLI.
 //!
 //! ```text
-//! cargo run -p pmp-chaos -- --seed 42                  # one seed, both drivers
+//! cargo run -p pmp-chaos -- --seed 42                  # one seed, both orders
 //! cargo run -p pmp-chaos -- --sweep 0 500              # a seed range
 //! cargo run -p pmp-chaos -- --seed 42 --shrink \
 //!     --write-repro tests/repros                       # minimize + save failures
@@ -32,7 +32,7 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: pmp-chaos [--seed N | --sweep FROM TO | --replay FILE]...\n\
-         \x20      [--driver serial|parallel|both] [--gen-steps N]\n\
+         \x20      [--driver serial|permuted|both] [--gen-steps N]\n\
          \x20      [--soak SECS] [--soak-slow MULT]\n\
          \x20      [--shrink] [--write-repro DIR] [--quiet]"
     );
@@ -72,7 +72,7 @@ fn parse_args() -> Args {
             "--driver" => {
                 args.driver = match next(&mut i).as_str() {
                     "serial" => Some(DriverKind::Serial),
-                    "parallel" => Some(DriverKind::Parallel),
+                    "permuted" => Some(DriverKind::Permuted),
                     "both" => None,
                     _ => usage(),
                 }

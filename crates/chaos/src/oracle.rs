@@ -10,7 +10,7 @@
 //! |------------------|-------------------------------------------------------|
 //! | `lease-liveness` | no advice stays active past lease lapse + sweep slack |
 //! | `departure`      | a long-uncovered node ends up with nothing installed  |
-//! | `cross-driver`   | serial and parallel runs are byte-identical           |
+//! | `cross-driver`   | serial and permuted-order runs are byte-identical     |
 //! | `durable-digest` | crash→restart reproduces the barrier-committed state  |
 //! | `conservation`   | installed − removed counters == Σ live installs       |
 //! | `grant-catalog`  | every lease-table grant names a catalogued extension  |
@@ -31,8 +31,8 @@
 //! determinism bug. Everything else is pure sim-state and must agree
 //! byte for byte. (`perf.soak-*` actually *are* simulated-time
 //! properties — the latency histogram and the retry schedule are
-//! functions of sim time — so they fire identically under both
-//! drivers; the prefix only controls reporting.)
+//! functions of sim time — so they fire identically in both cell
+//! orders; the prefix only controls reporting.)
 //!
 //! `durable-digest` compares against the digest captured after the
 //! pre-crash `commit()` the executor forces, so it asserts equality of

@@ -8,7 +8,7 @@
 //! compression, no metadata, no versioned envelope beyond the magic —
 //! the encoding *is* the contract, and the decode-fuzz suite pins its
 //! error behaviour. `tests/chaos_repros.rs` replays every committed
-//! file under both drivers on every CI run.
+//! file in both cell orders on every CI run.
 
 use crate::script::Scenario;
 use pmp_trace::FlightEntry;

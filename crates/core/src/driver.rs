@@ -1,22 +1,21 @@
-//! The execution engine: node cells, epoch dispatch, and the pluggable
-//! serial/parallel drivers.
+//! The execution engine: node cells and per-cell epoch dispatch.
 //!
 //! DESIGN.md §10 describes the model. In short, every pump is a loop of
 //! *epochs*: the scheduler ([`pmp_net::Simulator`]) drains all events
 //! within one conservative lookahead window partitioned by destination
 //! node ([`Simulator::drain_epoch`](pmp_net::Simulator::drain_epoch)),
-//! each busy node's stack — a [`NodeCell`] — computes against its own
+//! each busy node's stack — a `NodeCell` — computes against its own
 //! batch with a private clock, a buffering network port, and a
 //! buffering telemetry sink, and at the barrier the cells' effects are
 //! merged back into the scheduler in deterministic
 //! `(time, cell rank, emission seq)` order.
 //!
-//! Both drivers run the *same* pipeline; [`SerialDriver`] executes the
-//! cells one by one on the calling thread and [`ParallelDriver`] shards
-//! them over scoped threads. Because nothing a cell observes (its
-//! batch, its clock) or produces (ordered commands, ordered events)
-//! depends on which thread ran it, the two drivers are behaviourally
-//! identical by construction — the determinism suite pins this with
+//! Cells run on the calling thread, in rank order by default. Because
+//! nothing a cell observes (its batch, its clock) or produces (ordered
+//! commands, ordered events) depends on which cells ran before it, the
+//! order they run in cannot change the result;
+//! [`Platform::permute_cells`](crate::Platform::permute_cells) runs them
+//! in a seeded random order so tests can check exactly that with
 //! trace/journal digests.
 
 use crate::node::{BaseStation, MobileNode};
@@ -73,10 +72,10 @@ pub(crate) enum CellBody<'a> {
 }
 
 /// One node's stack plus its epoch batch: the self-contained `Send`
-/// unit of work a driver schedules. A cell's rank — its position in
-/// the slice handed to [`Driver::compute`], bases first then mobiles —
-/// fixes the merge order of everything it produces.
-pub struct NodeCell<'a> {
+/// unit of work of one epoch. A cell's rank — its position in the
+/// epoch's cell list, bases first then mobiles — fixes the merge order
+/// of everything it produces, whatever order the cells ran in.
+pub(crate) struct NodeCell<'a> {
     pub(crate) body: CellBody<'a>,
     pub(crate) state: &'a mut CellState,
     pub(crate) batch: Vec<TimedIncoming>,
@@ -84,9 +83,8 @@ pub struct NodeCell<'a> {
 }
 
 impl NodeCell<'_> {
-    /// Dispatches the cell's whole batch. Call exactly once per epoch,
-    /// from whichever thread the driver chose.
-    pub fn run(&mut self) {
+    /// Dispatches the cell's whole batch. Call exactly once per epoch.
+    pub(crate) fn run(&mut self) {
         for item in self.batch.drain(..) {
             self.state.clock.set(item.at);
             match &mut self.body {
@@ -106,97 +104,16 @@ impl NodeCell<'_> {
     }
 }
 
-// A NodeCell must be able to cross threads: this is the compile-time
-// audit that every layer of a node stack (VM, PROSE, MIDAS, robot
-// hardware, wiring) is `Send`.
+// Compile-time audit that every layer of a node stack (VM, PROSE,
+// MIDAS, robot hardware, wiring) is `Send`: a stack holds no `Rc` or
+// other thread-bound handle, so it cannot share unsynchronised state
+// with another cell behind the barrier's back.
 const _: fn() = || {
     fn assert_send<T: Send>() {}
     assert_send::<NodeCell<'static>>();
     assert_send::<MobileNode>();
     assert_send::<BaseStation>();
 };
-
-/// Schedules [`NodeCell`]s within one epoch. Implementations decide
-/// only *where* each cell runs — all ordering that affects observable
-/// behaviour happens at the barrier merge, outside the driver.
-pub trait Driver: Send + Sync {
-    /// Driver name for reports (`"serial"` / `"parallel"`).
-    fn name(&self) -> &'static str;
-
-    /// Runs every cell exactly once.
-    fn compute(&self, cells: &mut [NodeCell<'_>]);
-}
-
-/// The golden reference: cells run one by one, in rank order, on the
-/// calling thread.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct SerialDriver;
-
-impl Driver for SerialDriver {
-    fn name(&self) -> &'static str {
-        "serial"
-    }
-
-    fn compute(&self, cells: &mut [NodeCell<'_>]) {
-        for cell in cells {
-            cell.run();
-        }
-    }
-}
-
-/// Shards cells over scoped threads, one contiguous chunk per worker,
-/// with the epoch barrier at scope exit. Thread count (and the chunk
-/// shape) cannot affect results; epochs with at most one busy cell run
-/// inline to skip spawn overhead.
-#[derive(Debug, Clone, Copy)]
-pub struct ParallelDriver {
-    /// Worker cap; defaults to the host's available parallelism.
-    pub threads: usize,
-}
-
-impl Default for ParallelDriver {
-    fn default() -> Self {
-        ParallelDriver {
-            threads: std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
-        }
-    }
-}
-
-impl Driver for ParallelDriver {
-    fn name(&self) -> &'static str {
-        "parallel"
-    }
-
-    fn compute(&self, cells: &mut [NodeCell<'_>]) {
-        let workers = self.threads.max(1).min(cells.len());
-        if workers <= 1 || cells.len() <= 1 {
-            SerialDriver.compute(cells);
-            return;
-        }
-        let chunk = cells.len().div_ceil(workers);
-        std::thread::scope(|s| {
-            for shard in cells.chunks_mut(chunk) {
-                s.spawn(move || {
-                    for cell in shard {
-                        cell.run();
-                    }
-                });
-            }
-        });
-    }
-}
-
-/// The driver selected by the `PMP_DRIVER` environment variable
-/// (`parallel` or `serial`; unset/unknown means serial, the golden
-/// reference).
-pub(crate) fn driver_from_env() -> Box<dyn Driver> {
-    match std::env::var("PMP_DRIVER").as_deref() {
-        Ok("parallel") => Box::new(ParallelDriver::default()),
-        _ => Box::new(SerialDriver),
-    }
-}
 
 // ----------------------------------------------------------------------
 // Per-cell dispatch (the former Platform::dispatch_all internals)

@@ -20,14 +20,13 @@
 //! [`scenario::ProductionHalls`] builds the paper's two-hall world in
 //! one call; the `examples/` directory shows it in action.
 
-pub mod driver;
+mod driver;
 pub mod node;
 pub mod platform;
 pub mod rpc;
 pub mod scenario;
 pub mod wiring;
 
-pub use driver::{Driver, NodeCell, ParallelDriver, SerialDriver};
 pub use node::{BaseStation, MobileNode};
 pub use platform::{BaseId, MobId, Platform, RpcOutcome, StreamSub};
 pub use pmp_stream::{StreamEvent, StreamStats};

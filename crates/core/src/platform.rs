@@ -2,13 +2,13 @@
 //! protocol stacks — the glue that turns the substrate crates into the
 //! paper's running system.
 
-use crate::driver::{flush_outbox, CellBody, CellState, Driver, NodeCell};
+use crate::driver::{flush_outbox, CellBody, CellState, NodeCell};
 use crate::node::{BaseStation, MobileNode};
 use crate::wiring::RPC_CHANNEL;
 use pmp_durable::{Durable, WalRecord};
 use pmp_midas::ReceiverPolicy;
-use pmp_net::{AreaId, Epoch, Position, SimTime, Simulator};
-use pmp_stream::{StreamConfig, StreamEvent, StreamHub, StreamSource, StreamStats, SubscriberId};
+use pmp_net::{AreaId, Epoch, Position, SimRng, SimTime, Simulator};
+use pmp_stream::{StreamEvent, StreamHub, StreamSource, StreamStats, SubscriberId};
 use pmp_telemetry::PendingEvent;
 use pmp_vm::perm::Permissions;
 use pmp_vm::prelude::VmError;
@@ -67,8 +67,8 @@ pub struct RpcOutcome {
     pub value: String,
     /// Simulated time the outcome was observed at the caller's base.
     /// Outcomes merge at the epoch barrier sorted by `(at, req)`, so
-    /// their order is a pure function of the simulation — not of which
-    /// driver or thread count ran the cells.
+    /// their order is a pure function of the simulation — not of the
+    /// order the cells ran in.
     pub at: u64,
     /// Simulated time the call was issued (its first transmission).
     pub issued_at: u64,
@@ -105,7 +105,9 @@ pub struct Platform {
     next_req: u64,
     rpc_outcomes: Vec<RpcOutcome>,
     telemetry: pmp_telemetry::Shared,
-    driver: Box<dyn Driver>,
+    /// `Some(seed)` runs each epoch's cells in a seeded random order
+    /// (see [`Platform::permute_cells`]); `None` runs them in rank order.
+    permute: Option<u64>,
     /// Base-tier span collector, fed from every cell tracer at epoch
     /// barriers (see `pmp-trace`).
     collector: pmp_trace::Collector,
@@ -142,7 +144,7 @@ impl std::fmt::Debug for Platform {
             .field("bases", &self.bases.len())
             .field("nodes", &self.nodes.len())
             .field("now", &self.sim.now())
-            .field("driver", &self.driver.name())
+            .field("driver", &self.driver_name())
             .finish()
     }
 }
@@ -168,7 +170,7 @@ impl Platform {
             next_req: 1,
             rpc_outcomes: Vec::new(),
             telemetry,
-            driver: crate::driver::driver_from_env(),
+            permute: None,
             collector: pmp_trace::Collector::default(),
             tracing: false,
             opt_reports: Vec::new(),
@@ -203,16 +205,23 @@ impl Platform {
         self.tracing
     }
 
-    /// Installs the epoch driver (serial is the default; `PMP_DRIVER=parallel`
-    /// selects the sharded driver at construction). Both drivers run the
-    /// same drain → compute → merge pipeline, so digests are identical.
-    pub fn set_driver(&mut self, driver: Box<dyn Driver>) {
-        self.driver = driver;
+    /// Test hook: from now on, run each epoch's cells in a Fisher–Yates
+    /// order drawn from a [`SimRng`] seeded by `(seed, epoch start
+    /// time)` instead of in rank order. The barrier still merges every
+    /// effect in rank order, so a run's digests must not change; a test
+    /// that compares a permuted run with a plain one checks that no
+    /// cell observes what another cell did in the same epoch.
+    pub fn permute_cells(&mut self, seed: u64) {
+        self.permute = Some(seed);
     }
 
-    /// The active driver's name (`"serial"` / `"parallel"`).
+    /// The cell order in use: `"serial"` (rank order) or `"permuted"`.
     pub fn driver_name(&self) -> &'static str {
-        self.driver.name()
+        if self.permute.is_some() {
+            "permuted"
+        } else {
+            "serial"
+        }
     }
 
     /// The platform-wide telemetry (sim-clocked registry + journal):
@@ -253,8 +262,8 @@ impl Platform {
         let cell = CellState::new(node, self.sim.now(), &self.telemetry);
         let mut station = BaseStation::build(node, hall, format!("seed:{hall}").as_bytes());
         // Engine telemetry goes direct: its journal events (snapshot/
-        // compact/recover) are emitted only at main-thread barriers, so
-        // both drivers see them at identical sequence points.
+        // compact/recover) are emitted only at barriers, so every cell
+        // order sees them at identical sequence points.
         station
             .durable
             .attach_sink(pmp_telemetry::Sink::direct(&self.telemetry));
@@ -273,7 +282,7 @@ impl Platform {
         station.durable.set_commit_tap(Box::new(move |batch| {
             sink.lock().unwrap().extend_from_slice(batch);
         }));
-        self.streams.push(StreamHub::new(StreamConfig::default()));
+        self.streams.push(StreamHub::new());
         self.stream_taps.push(tap);
         self.bases.push(station);
         self.base_cells.push(cell);
@@ -405,7 +414,7 @@ impl Platform {
     /// Drains a subscription's pending updates. Call between pumps —
     /// publication happens at epoch barriers, so what you get is
     /// exactly the committed record stream up to the last barrier,
-    /// byte-identical under either driver. While the base is crashed
+    /// byte-identical under any cell order. While the base is crashed
     /// this returns nothing (the publisher is powered off with it).
     pub fn drain_updates(&mut self, sub: StreamSub) -> Vec<StreamEvent> {
         let Platform { bases, streams, .. } = self;
@@ -598,8 +607,8 @@ impl Platform {
 
     /// Makes two bases roaming neighbours (both directions) over a
     /// wired backhaul segment: when a node departs one, the other
-    /// receives a handoff record — grants, leases, and (via the driver)
-    /// movement history — regardless of radio range (paper §3.2's
+    /// receives a handoff record — grants, leases, and (via the base's
+    /// cell) movement history — regardless of radio range (paper §3.2's
     /// roaming algorithm, federated).
     pub fn link_bases(&mut self, a: BaseId, b: BaseId) {
         let (na, nb) = (self.bases[a.0].node, self.bases[b.0].node);
@@ -725,7 +734,9 @@ impl Platform {
     /// is the one-attempt policy: when that timer fires unanswered, the
     /// call expires without an outcome. The other two retransmit on a
     /// deterministic exponential backoff until the first reply or the
-    /// attempt budget resolves them.
+    /// attempt budget resolves them. Their `rpc.calls` issue record is
+    /// committed before the first frame leaves (write-ahead), so a base
+    /// that crashes at once still retries the call after restart.
     #[allow(clippy::too_many_arguments)]
     pub fn rpc_with(
         &mut self,
@@ -758,7 +769,11 @@ impl Platform {
             "rpc.call",
             &format!("{class}.{method} [{sem}] -> n{}", to.0),
         );
-        self.bases[base.0].rpc.issue(req, call);
+        let station = &mut self.bases[base.0];
+        station.rpc.issue(req, call);
+        if sem != crate::rpc::InvocationSemantics::Maybe && !station.crashed {
+            station.durable.commit();
+        }
         self.sim.send(from, to, RPC_CHANNEL, ctx.wrap(&msg));
         let delay = crate::rpc::backoff_delay(req, 1);
         let token = self.sim.set_timer(from, delay, crate::rpc::RPC_RETRY_TAG);
@@ -784,8 +799,8 @@ impl Platform {
 
     /// Pumps the world for `ns` of simulated time: epoch by epoch, the
     /// scheduler drains every event within the conservative lookahead
-    /// window, the active driver runs each busy node cell against its
-    /// batch, and the cells' effects merge back at the barrier in
+    /// window, each busy node cell runs against its batch, and the
+    /// cells' effects merge back at the barrier in
     /// `(time, cell rank, emission seq)` order (DESIGN.md §10).
     pub fn pump(&mut self, ns: u64) {
         let until = self.sim.now().plus(ns);
@@ -880,7 +895,7 @@ impl Platform {
         sim.apply_cmds(cmds);
     }
 
-    /// Runs one epoch: batch routing → driver compute → barrier merge.
+    /// Runs one epoch: batch routing → cell compute → barrier merge.
     fn run_epoch(&mut self, epoch: Epoch) {
         let Platform {
             sim,
@@ -890,7 +905,7 @@ impl Platform {
             node_cells,
             rpc_outcomes,
             telemetry,
-            driver,
+            permute,
             collector,
             streams,
             stream_taps,
@@ -940,14 +955,26 @@ impl Platform {
             return;
         }
 
-        driver.compute(&mut cells);
+        match *permute {
+            None => cells.iter_mut().for_each(NodeCell::run),
+            Some(seed) => {
+                let mut rng = SimRng::new(seed ^ epoch.start.0.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+                let mut order: Vec<usize> = (0..cells.len()).collect();
+                for i in (1..order.len()).rev() {
+                    order.swap(i, rng.range_u64(i as u64 + 1) as usize);
+                }
+                for i in order {
+                    cells[i].run();
+                }
+            }
+        }
 
         // Barrier merge. Network commands: concatenating per-cell
         // buffers in rank order and stable-sorting by time yields
         // (time, rank, seq) — exactly the order a serial sweep over the
         // window would have produced. Link randomness (loss, jitter) is
-        // sampled here, on this thread, so it cannot depend on the
-        // driver's scheduling.
+        // sampled here, after every cell ran, so it cannot depend on
+        // the order the cells ran in.
         let mut cmds = Vec::new();
         for cell in &mut cells {
             cmds.extend(cell.state.port.drain());
@@ -957,8 +984,7 @@ impl Platform {
         // RPC outcomes: merged sorted by (observation time, request
         // id). Epochs are disjoint time windows, so per-epoch sorting
         // keeps the accumulated vector globally ordered — and the
-        // order is driver-invariant, where the old rank-order append
-        // depended on which cell held each outcome.
+        // order does not depend on which cell held each outcome.
         let mut epoch_rpc: Vec<RpcOutcome> = Vec::new();
         for cell in &mut cells {
             epoch_rpc.append(&mut cell.rpc);
@@ -979,15 +1005,15 @@ impl Platform {
         drain_spans(collector, bases, base_cells, node_cells);
         // Group-commit each live base's WAL appends at the epoch
         // barrier: one simulated fsync per base per epoch, and the same
-        // batch boundaries under either driver.
+        // batch boundaries under any cell order.
         for station in bases.iter_mut() {
             if !station.crashed {
                 station.durable.commit();
             }
         }
         // Publish the freshly committed batches to each base's fan-out
-        // hub and forward catalog deltas to replicas — on this thread,
-        // in rank order, so streams are identical under either driver.
+        // hub and forward catalog deltas to replicas — after every cell
+        // ran, in rank order, so streams are identical under any cell order.
         publish_and_forward(sim, bases, streams, stream_taps, fed_stream_subs, telemetry);
         // Journal events: same (time, rank, seq) merge.
         flush_cell_events(telemetry, base_cells, node_cells);
@@ -1015,7 +1041,7 @@ impl Platform {
     }
 
     /// Stable order-independent digest over every retained span — the
-    /// cross-driver trace-equality check.
+    /// cross-order trace-equality check.
     #[must_use]
     pub fn span_digest(&mut self) -> u64 {
         self.drain_spans_now();
@@ -1086,7 +1112,7 @@ impl Platform {
     }
 }
 
-/// Barrier-time stream step, always on the merge thread: drain each
+/// Barrier-time stream step, run after every cell: drain each
 /// live base's commit-tap buffer into its fan-out hub (assigning revs,
 /// encoding each delta once), then walk the federation forwarders and
 /// ship freshly published catalog puts to replica bases as

@@ -29,8 +29,8 @@
 //! station; retransmitting calls durable under `"rpc.calls"`),
 //! [`RpcServer`] (server side, owned by a mobile node; dedup table
 //! durable under `"rpc.dedup"`), and [`backoff_delay`] (the pure retry
-//! schedule — simulated time only, never the wall clock, so both
-//! drivers compute the same schedule from the same inputs).
+//! schedule — simulated time only, never the wall clock, so every cell
+//! order computes the same schedule from the same inputs).
 
 use pmp_durable::{Durable, DurableError, NamespaceHandle};
 use pmp_net::SimRng;
@@ -113,9 +113,8 @@ pub const RPC_DEDUP_CAP: usize = 256;
 /// Pure function of `(req, attempt)`: exponential doubling from
 /// [`RPC_TIMEOUT_NS`], capped at [`RPC_BACKOFF_CAP_NS`], plus splitmix
 /// jitter below [`RPC_JITTER_NS`] seeded from the request id and
-/// attempt counter. No wall clock, no shared RNG — both drivers, any
-/// thread count, and a crash-restarted base all compute the identical
-/// schedule.
+/// attempt counter. No wall clock, no shared RNG — any cell order and
+/// a crash-restarted base compute the identical schedule.
 #[must_use]
 pub fn backoff_delay(req: u64, attempt: u32) -> u64 {
     let shift = attempt.saturating_sub(1).min(20);

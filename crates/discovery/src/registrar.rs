@@ -277,7 +277,10 @@ impl Registrar {
                     .collect();
                 // Stable result order: the items travel inside the
                 // reply payload, so hash order would be byte-observable.
-                items.sort_by(|a, b| (&a.name, a.provider).cmp(&(&b.name, b.provider)));
+                // The id breaks ties between two registrations of one
+                // provider under one name (a re-registration whose old
+                // lease has not lapsed yet).
+                items.sort_by(|a, b| (&a.name, a.provider, a.id).cmp(&(&b.name, b.provider, b.id)));
                 let reply = DiscoveryMsg::LookupResult { items, req };
                 sim.send(self.node, from, CHANNEL, ctx.wrap(&reply));
             }
@@ -303,7 +306,7 @@ impl Registrar {
                     .filter(|(item, _)| query.matches(item))
                     .map(|(item, _)| item.clone())
                     .collect();
-                items.sort_by(|a, b| (&a.name, a.provider).cmp(&(&b.name, b.provider)));
+                items.sort_by(|a, b| (&a.name, a.provider, a.id).cmp(&(&b.name, b.provider, b.id)));
                 if !items.is_empty() || hops >= MAX_HOPS {
                     // Answer (or give up): the reply retraces the path
                     // stack — only tree edges are guaranteed reachable.

@@ -53,8 +53,8 @@
 //! panics on bad media.
 //!
 //! Journal events are emitted only for snapshot, compact, and recover
-//! (main-thread barrier operations), keeping the event journal
-//! byte-identical between the serial and parallel drivers.
+//! (barrier operations, outside any node cell), keeping the event
+//! journal byte-identical whatever order the cells ran in.
 
 use crate::disk::SimDisk;
 use crate::record::{

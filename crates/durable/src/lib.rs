@@ -28,9 +28,8 @@
 //! Components share one engine through a [`DurableHub`]; each keeps a
 //! cheap [`NamespaceHandle`] for its own append stream. Appends buffer
 //! in memory; the platform calls [`DurableHub::commit`] at epoch
-//! barriers (group commit), which keeps the write path off the
-//! parallel driver's worker threads and the event journal
-//! deterministic across drivers.
+//! barriers (group commit), which keeps the write path out of the node
+//! cells and the event journal independent of the order they run in.
 
 pub mod crc;
 pub mod disk;
@@ -114,11 +113,13 @@ pub trait Durable {
     }
 }
 
-/// A cloneable, thread-safe handle on one shared [`DurableEngine`].
+/// A cloneable handle on one shared [`DurableEngine`].
 ///
-/// Node cells may append from worker threads under the parallel driver
-/// (the engine sits behind a mutex); commits, checkpoints, and
-/// recovery happen on the platform thread at epoch barriers.
+/// Every durable component of a base (store, extension base, RPC
+/// engine, flight ring) holds a clone and appends through it; the
+/// engine sits behind a mutex so the base's stack stays `Send`.
+/// Commits, checkpoints, and recovery happen at epoch barriers, outside
+/// the node cells.
 #[derive(Clone, Debug, Default)]
 pub struct DurableHub {
     inner: Arc<sync::Mutex<DurableEngine>>,

@@ -133,8 +133,8 @@ impl AdaptationService {
         self.attach_sink(Sink::direct(shared));
     }
 
-    /// Routes telemetry through a per-cell [`Sink`] (sharded drivers
-    /// buffer journal events and merge them at the epoch barrier).
+    /// Routes telemetry through a per-cell [`Sink`] (the platform
+    /// buffers journal events and merges them at the epoch barrier).
     pub fn attach_sink(&mut self, sink: Sink) {
         self.discovery.attach_sink(sink.clone());
         self.telemetry = Some(sink);

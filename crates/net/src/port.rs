@@ -11,8 +11,8 @@
 //! * [`PortBuf`] — the sharded path: effects are buffered as
 //!   [`NetCmd`]s while a node computes inside an epoch, then merged
 //!   into the scheduler in a deterministic `(time, source, seq)` order
-//!   at the epoch barrier, so a parallel run inserts exactly the same
-//!   events as a serial one.
+//!   at the epoch barrier, so a run inserts exactly the same events
+//!   whatever order the epoch's nodes computed in.
 //!
 //! `&mut Simulator` coerces implicitly to `&mut dyn NetPort`, so call
 //! sites that own a simulator keep working unchanged.

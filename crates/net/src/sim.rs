@@ -598,8 +598,8 @@ impl Simulator {
     /// Replays buffered node effects against the scheduler. The caller
     /// passes commands in deterministic `(time, source rank, seq)`
     /// order; loss and jitter are sampled *here*, so the RNG stream
-    /// depends only on that order — never on how many threads computed
-    /// the epoch.
+    /// depends only on that order — never on the order the node cells
+    /// computed the epoch in.
     pub fn apply_cmds(&mut self, cmds: impl IntoIterator<Item = NetCmd>) {
         for cmd in cmds {
             self.apply_cmd(cmd);

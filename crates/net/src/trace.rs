@@ -203,9 +203,9 @@ impl Trace {
 
     /// Stable 64-bit FNV-1a digest over the aggregate counters and —
     /// when logging is enabled — every delivery's `(at, from, to,
-    /// channel, bytes)` in order. The cross-driver determinism suite
-    /// enables logging and compares digests between the serial and
-    /// parallel engines; equal digests mean the byte-level delivery
+    /// channel, bytes)` in order. The cell-order determinism suite
+    /// enables logging and compares digests between rank-order and
+    /// permuted-order runs; equal digests mean the byte-level delivery
     /// sequence is identical.
     #[must_use]
     pub fn digest(&self) -> u64 {

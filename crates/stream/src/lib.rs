@@ -49,19 +49,9 @@ use pmp_durable::WalRecord;
 use pmp_wire::Bytes;
 use std::collections::{BTreeMap, VecDeque};
 
-/// Tuning knobs for a [`StreamHub`].
-#[derive(Debug, Clone)]
-pub struct StreamConfig {
-    /// Deltas retained per namespace ring. A subscriber more than this
-    /// many revs behind is gapped and goes through the resync tiers.
-    pub ring_cap: usize,
-}
-
-impl Default for StreamConfig {
-    fn default() -> Self {
-        Self { ring_cap: 512 }
-    }
-}
+/// Deltas retained per namespace ring. A subscriber more than this many
+/// revs behind is gapped and goes through the resync tiers.
+pub const RING_CAP: usize = 512;
 
 /// One update delivered to a subscriber.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -172,8 +162,8 @@ struct Publisher {
     /// Rev of the newest committed record of this namespace — equal to
     /// the record's ordinal among the namespace's committed records.
     head_rev: u64,
-    /// `(rev, wal_seq, delta)` — newest at the back, bounded by
-    /// `ring_cap`.
+    /// `(rev, wal_seq, delta)` — newest at the back, bounded by the
+    /// hub's ring cap ([`RING_CAP`]).
     ring: VecDeque<(u64, u64, Bytes)>,
 }
 
@@ -191,9 +181,11 @@ struct Subscriber {
 
 /// Per-base fan-out hub: one publisher per durable namespace, any
 /// number of cursor subscribers.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct StreamHub {
-    cfg: StreamConfig,
+    /// Deltas retained per ring: [`RING_CAP`], smaller only in unit
+    /// tests that provoke gaps.
+    ring_cap: usize,
     publishers: Vec<Publisher>,
     ns_index: BTreeMap<String, u32>,
     subs: Vec<Subscriber>,
@@ -207,13 +199,32 @@ pub struct StreamHub {
     lineage_broken: bool,
 }
 
+impl Default for StreamHub {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl StreamHub {
-    /// Creates a hub with the given configuration.
+    /// Creates an empty hub whose rings hold [`RING_CAP`] deltas.
     #[must_use]
-    pub fn new(cfg: StreamConfig) -> Self {
+    pub fn new() -> Self {
         Self {
-            cfg,
-            ..Self::default()
+            ring_cap: RING_CAP,
+            publishers: Vec::new(),
+            ns_index: BTreeMap::new(),
+            subs: Vec::new(),
+            stats: StreamStats::default(),
+            lineage_broken: false,
+        }
+    }
+
+    /// An empty hub with a small ring, for tests that provoke gaps.
+    #[cfg(test)]
+    fn with_ring_cap(ring_cap: usize) -> Self {
+        Self {
+            ring_cap,
+            ..Self::new()
         }
     }
 
@@ -240,7 +251,7 @@ impl StreamHub {
         p.head_rev += 1;
         let rev = p.head_rev;
         p.ring.push_back((rev, wal_seq, Bytes::copy_from(payload)));
-        while p.ring.len() > self.cfg.ring_cap {
+        while p.ring.len() > self.ring_cap {
             p.ring.pop_front();
         }
         self.stats.encoded += 1;
@@ -508,7 +519,7 @@ mod tests {
 
     #[test]
     fn deltas_flow_in_rev_order_and_encode_once() {
-        let mut hub = StreamHub::new(StreamConfig::default());
+        let mut hub = StreamHub::new();
         let a = hub.subscribe_live("store.movements");
         let b = hub.subscribe("store.movements");
         for (seq, payload) in [(1, b"one"), (2, b"two")] {
@@ -532,7 +543,7 @@ mod tests {
 
     #[test]
     fn short_gap_bootstraps_from_the_log() {
-        let mut hub = StreamHub::new(StreamConfig { ring_cap: 2 });
+        let mut hub = StreamHub::with_ring_cap(2);
         for seq in 1..=5u64 {
             hub.publish("midas.base", seq, &[seq as u8]);
         }
@@ -558,7 +569,7 @@ mod tests {
 
     #[test]
     fn gap_beyond_a_compacted_log_snapshots() {
-        let mut hub = StreamHub::new(StreamConfig { ring_cap: 2 });
+        let mut hub = StreamHub::with_ring_cap(2);
         for seq in 1..=5u64 {
             hub.publish("store.movements", seq, &[seq as u8]);
         }
@@ -581,7 +592,7 @@ mod tests {
 
     #[test]
     fn a_partial_log_fails_ordinal_alignment_and_snapshots() {
-        let mut hub = StreamHub::new(StreamConfig { ring_cap: 1 });
+        let mut hub = StreamHub::with_ring_cap(1);
         for seq in 1..=4u64 {
             hub.publish("store.movements", seq, &[seq as u8]);
         }
@@ -598,7 +609,7 @@ mod tests {
 
     #[test]
     fn rebase_realigns_revs_and_forces_resync() {
-        let mut hub = StreamHub::new(StreamConfig::default());
+        let mut hub = StreamHub::new();
         let sub = hub.subscribe("store.movements");
         for seq in 1..=3u64 {
             hub.publish("store.movements", seq, &[seq as u8]);
@@ -624,7 +635,7 @@ mod tests {
 
     #[test]
     fn rebase_without_a_log_restarts_revs_behind_a_snapshot() {
-        let mut hub = StreamHub::new(StreamConfig::default());
+        let mut hub = StreamHub::new();
         let sub = hub.subscribe("midas.base");
         for seq in 1..=3u64 {
             hub.publish("midas.base", seq, &[seq as u8]);
@@ -649,7 +660,7 @@ mod tests {
 
     #[test]
     fn dropped_subscribers_stay_silent_and_handles_are_stable() {
-        let mut hub = StreamHub::new(StreamConfig::default());
+        let mut hub = StreamHub::new();
         let a = hub.subscribe_live("store.movements");
         let b = hub.subscribe_live("store.movements");
         hub.drop_subscriber(a);
@@ -662,7 +673,7 @@ mod tests {
 
     #[test]
     fn a_million_cursors_share_one_ring() {
-        let mut hub = StreamHub::new(StreamConfig { ring_cap: 8 });
+        let mut hub = StreamHub::with_ring_cap(8);
         let subs: Vec<SubscriberId> = (0..10_000)
             .map(|_| hub.subscribe_live("store.movements"))
             .collect();

@@ -1,8 +1,8 @@
 //! A stable 64-bit FNV-1a hasher for determinism digests.
 //!
-//! The cross-driver determinism proof (DESIGN.md §10) compares compact
-//! fingerprints of the network trace and the event journal between the
-//! serial and parallel engines. `std`'s `DefaultHasher` is explicitly
+//! The cell-order determinism proof (DESIGN.md §10) compares compact
+//! fingerprints of the network trace and the event journal between
+//! rank-order and permuted-order runs. `std`'s `DefaultHasher` is explicitly
 //! unstable across releases, so digests use FNV-1a with fixed framing:
 //! every variable-length field is prefixed with its length, making the
 //! encoding injective.

@@ -152,7 +152,7 @@ impl Journal {
     }
 
     /// Appends a point event stamped with an explicit time instead of
-    /// the injected clock. Used by execution drivers that buffer events
+    /// the injected clock. Used by the epoch engine, which buffers events
     /// per node cell during an epoch and merge them at the barrier in
     /// deterministic `(time, cell, seq)` order — each buffered event
     /// carries the cell-clock reading it was emitted at.

@@ -1,19 +1,17 @@
-//! Per-cell telemetry sinks for sharded execution.
+//! Per-cell telemetry sinks for epoch execution.
 //!
-//! Counter, gauge, and histogram updates are commutative — concurrent
-//! node cells may apply them straight to the platform's [`Shared`]
-//! registry in any interleaving and still reach the same totals. The
-//! journal is not: event order is observable (digests, exports, ring
-//! eviction), so under a parallel driver each cell's point events are
-//! buffered locally, stamped with the cell clock, and merged into the
-//! shared journal at the epoch barrier in deterministic
-//! `(time, cell rank, emission seq)` order.
+//! Counter, gauge, and histogram updates are commutative — node cells
+//! apply them straight to the platform's [`Shared`] registry and reach
+//! the same totals whatever order an epoch's cells run in. The journal
+//! is not: event order is observable (digests, exports, ring eviction),
+//! so each cell's point events are buffered locally, stamped with the
+//! cell clock, and merged into the shared journal at the epoch barrier
+//! in deterministic `(time, cell rank, emission seq)` order — the
+//! order is then the same for rank-order and permuted-order runs.
 //!
 //! A [`Sink`] routes accordingly: metrics always go direct, events go
-//! direct too ([`Sink::direct`], the legacy single-threaded path) or
-//! into the cell buffer ([`Sink::buffered`], both engine drivers — the
-//! serial driver uses the same buffering so the two engines are
-//! journal-identical by construction).
+//! direct too ([`Sink::direct`], for components outside a node cell)
+//! or into the cell buffer ([`Sink::buffered`], every node cell).
 
 use crate::journal::Subsystem;
 use crate::{sync, Clock, Shared};
@@ -130,7 +128,7 @@ impl Sink {
     }
 
     /// Takes the buffered events in emission order (empty for a direct
-    /// sink). The driver merges them into the shared journal at the
+    /// sink). The platform merges them into the shared journal at the
     /// epoch barrier.
     #[must_use]
     pub fn take_pending(&self) -> Vec<PendingEvent> {

@@ -10,7 +10,7 @@
 //! * [`TraceCtx`] — a `(trace id, span id)` pair carried inside the
 //!   pmp-wire envelope of MIDAS, discovery, tuple-space, and RPC
 //!   messages via [`Traced`]. Ids are `(node << 32) | seq`, so two runs
-//!   (and the serial vs. parallel execution drivers, DESIGN.md §10)
+//!   (and rank-order vs. permuted-order cell execution, DESIGN.md §10)
 //!   produce byte-identical trees.
 //! * [`Tracer`] — the per-node-cell span factory. Spans are instant
 //!   (`start == end`, stamped with sim-time): per-hop latency is the

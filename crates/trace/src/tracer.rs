@@ -30,7 +30,7 @@ struct TracerInner {
 /// state, so the platform hands one to the cell's components and keeps
 /// another for the barrier drain. Span ids are `(node << 32) | seq`
 /// with a per-node sequence starting at 1: no randomness, no clock
-/// reads, hence byte-identical traces across execution drivers.
+/// reads, hence byte-identical traces whatever order cells run in.
 #[derive(Clone, Debug)]
 pub struct Tracer {
     inner: Arc<Mutex<TracerInner>>,

@@ -24,8 +24,6 @@ pub struct VmConfig {
     pub prose_hooks: bool,
     /// Maximum nested call depth.
     pub max_call_depth: u32,
-    /// Echo `print` output to stdout in addition to capturing it.
-    pub echo_output: bool,
 }
 
 impl Default for VmConfig {
@@ -33,7 +31,6 @@ impl Default for VmConfig {
         Self {
             prose_hooks: true,
             max_call_depth: 256,
-            echo_output: false,
         }
     }
 }
@@ -266,9 +263,6 @@ impl Vm {
                     .map(ToString::to_string)
                     .collect::<Vec<_>>()
                     .join(" ");
-                if vm.config.echo_output {
-                    println!("{line}");
-                }
                 vm.output.push(line);
                 Ok(Value::Null)
             }),

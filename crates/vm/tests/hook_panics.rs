@@ -1,12 +1,11 @@
-//! Hook-dispatch panic containment (ISSUE 5 satellite).
+//! Hook-dispatch panic containment.
 //!
 //! Advice is foreign code woven into the VM at runtime. A panic inside
 //! a dispatcher callback must surface as a `VmError` on the intercepted
 //! call — the same contract as advice returning `Err` — and must leave
 //! the VM able to serve further calls. Before this conversion a buggy
 //! extension could unwind straight through the interpreter and take the
-//! whole simulated node (and, under the parallel driver, the worker
-//! thread) down with it.
+//! whole simulated node — and the platform pumping it — down with it.
 
 use pmp_vm::hooks::{Dispatcher, Outcome, HOOK_ENTRY, HOOK_EXIT, HOOK_SET};
 use pmp_vm::prelude::*;

@@ -1,5 +1,5 @@
-//! Replays every committed chaos repro under both epoch drivers
-//! (DESIGN.md §12).
+//! Replays every committed chaos repro in both cell orders (rank order
+//! and a seeded permutation, DESIGN.md §12).
 //!
 //! Each `tests/repros/*.repro` file is a minimized scenario that once
 //! exposed a real bug; the file stays committed after the fix so the
@@ -47,7 +47,7 @@ fn every_committed_repro_replays_green() {
                 .collect::<Vec<_>>()
                 .join("\n")
         );
-        assert!(!cross.serial.aborted && !cross.parallel.aborted);
+        assert!(!cross.serial.aborted && !cross.permuted.aborted);
     }
 }
 

@@ -2,14 +2,14 @@
 //! comes back from its WAL + snapshot image (DESIGN.md §11).
 //!
 //! The full cycle — adapt, checkpoint, post-snapshot traffic, power
-//! cut, restart — runs under both epoch drivers, and every recovered
-//! observable (FNV state digest, lease table, catalog, hall database)
-//! must match its pre-crash value exactly. Separate tests injure the
+//! cut, restart — runs in rank order and in a permuted cell order, and
+//! every recovered observable (FNV state digest, lease table, catalog,
+//! hall database) must match its pre-crash value exactly. Separate tests injure the
 //! committed image (torn tail, bit flip) and assert recovery degrades
 //! to a clean prefix instead of panicking.
 
 use pmp::core::rpc::InvocationSemantics;
-use pmp::core::{Driver, ParallelDriver, ProductionHalls, SerialDriver};
+use pmp::core::ProductionHalls;
 use pmp::durable::record::encode_framed;
 use pmp::durable::{Durable, RecoverReport};
 use pmp::store::MovementRecord;
@@ -55,9 +55,13 @@ fn movements(w: &ProductionHalls) -> Vec<String> {
 
 /// Adapt in hall A, checkpoint, then draw so post-snapshot movement
 /// records accumulate in the WAL.
-fn warmed_world(seed: u64, driver: Box<dyn Driver>) -> ProductionHalls {
+/// `permute` runs each epoch's cells in the order seeded by it
+/// ([`pmp::core::Platform::permute_cells`]) instead of rank order.
+fn warmed_world(seed: u64, permute: Option<u64>) -> ProductionHalls {
     let mut w = ProductionHalls::build(seed);
-    w.platform.set_driver(driver);
+    if let Some(order_seed) = permute {
+        w.platform.permute_cells(order_seed);
+    }
     w.platform.pump(6 * SEC);
     // The scenario seeds catalogs straight into memory; the checkpoint
     // folds them — plus the freshly granted leases — into the snapshot
@@ -83,9 +87,9 @@ fn warmed_world(seed: u64, driver: Box<dyn Driver>) -> ProductionHalls {
 
 /// The happy path: crash, restart, byte-identical state, then keep
 /// serving. Returns the pre-crash fingerprint and the recovery report
-/// so the cross-driver test can compare runs.
-fn crash_cycle(driver: Box<dyn Driver>) -> (BaseState, RecoverReport) {
-    let mut w = warmed_world(17, driver);
+/// so the cross-order test can compare runs.
+fn crash_cycle(permute: Option<u64>) -> (BaseState, RecoverReport) {
+    let mut w = warmed_world(17, permute);
     let before = base_state(&w);
     assert!(!before.movements.is_empty(), "movements were logged");
     assert!(before.leases.contains("robot:1:1"), "{}", before.leases);
@@ -133,28 +137,23 @@ fn crash_cycle(driver: Box<dyn Driver>) -> (BaseState, RecoverReport) {
 
 #[test]
 fn base_recovers_byte_identically_under_the_serial_driver() {
-    crash_cycle(Box::new(SerialDriver));
-}
-
-#[test]
-fn base_recovers_byte_identically_under_the_parallel_driver() {
-    crash_cycle(Box::new(ParallelDriver::default()));
+    crash_cycle(None);
 }
 
 #[test]
 fn crash_recovery_is_driver_invariant() {
-    let (serial_state, serial_report) = crash_cycle(Box::new(SerialDriver));
-    let (parallel_state, parallel_report) = crash_cycle(Box::new(ParallelDriver::default()));
-    assert_eq!(serial_state, parallel_state, "pre-crash worlds diverged");
+    let (serial_state, serial_report) = crash_cycle(None);
+    let (permuted_state, permuted_report) = crash_cycle(Some(1));
+    assert_eq!(serial_state, permuted_state, "pre-crash worlds diverged");
     assert_eq!(
-        serial_report, parallel_report,
-        "recovery itself must be driver-invariant"
+        serial_report, permuted_report,
+        "recovery itself must not depend on the cell order"
     );
 }
 
 #[test]
 fn torn_final_record_is_truncated_and_the_base_survives() {
-    let mut w = warmed_world(23, Box::new(SerialDriver));
+    let mut w = warmed_world(23, None);
     w.platform.crash_base(w.base_a);
 
     // Shear bytes off the newest committed segment: the classic
@@ -187,7 +186,7 @@ fn torn_final_record_is_truncated_and_the_base_survives() {
 
 #[test]
 fn bit_flip_stops_replay_at_the_snapshot_baseline() {
-    let mut w = warmed_world(29, Box::new(SerialDriver));
+    let mut w = warmed_world(29, None);
     let before = movements(&w);
     w.platform.crash_base(w.base_a);
 
@@ -240,7 +239,7 @@ fn put_blob_per_byte(w: &mut Writer, blob: &[u8]) {
 
 #[test]
 fn snapshot_file_is_byte_identical_to_the_reference_construction() {
-    let mut w = warmed_world(31, Box::new(SerialDriver));
+    let mut w = warmed_world(31, None);
     let base = w.platform.base_mut(w.base_a);
     for i in 0..4000u64 {
         base.record_movement(MovementRecord {

@@ -1,7 +1,8 @@
-//! Cross-driver determinism: the parallel epoch driver must be
-//! observably indistinguishable from the serial one (DESIGN.md §10).
+//! Cell-order determinism: running each epoch's node cells in a seeded
+//! random order must be observably indistinguishable from running them
+//! in rank order (DESIGN.md §10).
 //!
-//! Each scenario runs twice — once per driver — and every observable is
+//! Each scenario runs twice — once per order — and every observable is
 //! compared: the network trace digest (per-delivery byte sequence), the
 //! journal digest (platform + every node VM), hall-database contents,
 //! installed-extension ids, billing settlements, RPC outcomes, and the
@@ -9,13 +10,21 @@
 //! racy journal write flips a digest.
 
 use pmp::core::rpc::InvocationSemantics;
-use pmp::core::{
-    Driver, ParallelDriver, Platform, ProductionHalls, SerialDriver, CORRIDOR, IN_HALL_B,
-};
+use pmp::core::{Platform, ProductionHalls, CORRIDOR, IN_HALL_B};
 use pmp::net::{LinkModel, Position};
 use pmp::vm::perm::{Permission, Permissions};
 
 const SEC: u64 = 1_000_000_000;
+
+/// Cell order of one run: `None` is rank order, `Some(seed)` a seeded
+/// permutation per epoch ([`Platform::permute_cells`]).
+type Order = Option<u64>;
+
+fn set_order(p: &mut Platform, order: Order) {
+    if let Some(seed) = order {
+        p.permute_cells(seed);
+    }
+}
 
 /// Everything a scenario run exposes to an observer.
 #[derive(Debug, PartialEq)]
@@ -46,9 +55,9 @@ impl Fingerprint {
     }
 }
 
-fn fingerprint(driver_name: &'static str, p: &Platform, observables: Vec<String>) -> Fingerprint {
+fn fingerprint(p: &Platform, observables: Vec<String>) -> Fingerprint {
     Fingerprint {
-        driver: driver_name,
+        driver: p.driver_name(),
         trace: p.trace_digest(),
         journal: p.journal_digest(),
         observables,
@@ -57,10 +66,9 @@ fn fingerprint(driver_name: &'static str, p: &Platform, observables: Vec<String>
 
 /// The full production-hall lifecycle: adaptation, an authorized draw,
 /// roaming A → corridor → B, geofenced moves, and a billing revocation.
-fn run_production(driver: Box<dyn Driver>) -> Fingerprint {
-    let name = driver.name();
+fn run_production(order: Order) -> Fingerprint {
     let mut w = ProductionHalls::build(11);
-    w.platform.set_driver(driver);
+    set_order(&mut w.platform, order);
     w.platform.sim.trace.set_logging(true);
 
     w.platform.pump(6 * SEC);
@@ -132,16 +140,15 @@ fn run_production(driver: Box<dyn Driver>) -> Fingerprint {
         "canvas {:?}",
         w.platform.node(w.robot).canvas().unwrap().strokes()
     ));
-    fingerprint(name, &w.platform, obs)
+    fingerprint(&w.platform, obs)
 }
 
 /// A lossy-link failure-injection scenario on the full platform: 20 %
 /// loss, a base outage mid-run, then recovery — heavy use of the link
 /// RNG, whose draw order is the first casualty of a racy merge.
-fn run_failures(driver: Box<dyn Driver>) -> Fingerprint {
-    let name = driver.name();
+fn run_failures(order: Order) -> Fingerprint {
     let mut p = Platform::with_link(91, LinkModel::lossy(0.20));
-    p.set_driver(driver);
+    set_order(&mut p, order);
     p.sim.trace.set_logging(true);
     p.add_area("hall", Position::new(0.0, 0.0), Position::new(60.0, 60.0));
     let base = p.add_base("hall", Position::new(30.0, 30.0), 80.0);
@@ -170,14 +177,14 @@ fn run_failures(driver: Box<dyn Driver>) -> Fingerprint {
         format!("recovered {installed_recovered:?}"),
         format!("drops {}", p.sim.trace.stats().dropped_loss),
     ];
-    fingerprint(name, &p, obs)
+    fingerprint(&p, obs)
 }
 
 #[test]
 fn production_hall_is_driver_invariant() {
-    let serial = run_production(Box::new(SerialDriver));
-    let parallel = run_production(Box::new(ParallelDriver::default()));
-    serial.assert_matches(&parallel);
+    let serial = run_production(None);
+    let permuted = run_production(Some(1));
+    serial.assert_matches(&permuted);
     // The scenario actually exercised the world.
     assert!(serial.observables.iter().any(|o| o.starts_with("rpc draw ok=true")));
     assert!(serial
@@ -188,9 +195,9 @@ fn production_hall_is_driver_invariant() {
 
 #[test]
 fn lossy_failure_injection_is_driver_invariant() {
-    let serial = run_failures(Box::new(SerialDriver));
-    let parallel = run_failures(Box::new(ParallelDriver::default()));
-    serial.assert_matches(&parallel);
+    let serial = run_failures(None);
+    let permuted = run_failures(Some(1));
+    serial.assert_matches(&permuted);
     assert!(
         serial.observables.iter().any(|o| o.contains("ext/billing")),
         "adaptation converged despite loss: {:?}",
@@ -199,32 +206,32 @@ fn lossy_failure_injection_is_driver_invariant() {
 }
 
 #[test]
-fn parallel_runs_are_self_consistent_across_thread_counts() {
-    // 1, 2, and many workers must all match: shard shape is invisible.
-    let one = run_production(Box::new(ParallelDriver { threads: 1 }));
-    let two = run_production(Box::new(ParallelDriver { threads: 2 }));
-    let many = run_production(Box::new(ParallelDriver { threads: 16 }));
-    one.assert_matches(&two);
-    two.assert_matches(&many);
+fn permuted_runs_agree_across_three_permutation_seeds() {
+    // Three unrelated cell orders per epoch must all match: which cell
+    // runs first is invisible.
+    let a = run_production(Some(2));
+    let b = run_production(Some(3));
+    let c = run_production(Some(0xDEAD_BEEF));
+    a.assert_matches(&b);
+    b.assert_matches(&c);
 }
 
 #[test]
 fn serial_runs_are_repeatable() {
-    let a = run_production(Box::new(SerialDriver));
-    let b = run_production(Box::new(SerialDriver));
+    let a = run_production(None);
+    let b = run_production(None);
     a.assert_matches(&b);
 }
 
 /// RPC outcomes merge at the epoch barrier sorted by
 /// `(observation time, request id)` — never by which cell (and hence
-/// which driver rank) happened to hold them. A burst of concurrent
+/// which cell rank) happened to hold them. A burst of concurrent
 /// semantic calls under loss lands replies on the base in arbitrary
 /// cell order; the drained outcome *sequence* must still be identical
-/// under both drivers and monotone in `(at, req)`.
-fn run_outcome_order(driver: Box<dyn Driver>) -> (Fingerprint, Vec<(u64, u64)>) {
-    let name = driver.name();
+/// in both cell orders and monotone in `(at, req)`.
+fn run_outcome_order(order: Order) -> (Fingerprint, Vec<(u64, u64)>) {
     let mut p = Platform::with_link(55, LinkModel::lossy(0.20));
-    p.set_driver(driver);
+    set_order(&mut p, order);
     p.sim.trace.set_logging(true);
     p.add_area("hall", Position::new(0.0, 0.0), Position::new(60.0, 60.0));
     let base = p.add_base("hall", Position::new(30.0, 30.0), 80.0);
@@ -259,15 +266,15 @@ fn run_outcome_order(driver: Box<dyn Driver>) -> (Fingerprint, Vec<(u64, u64)>) 
         .iter()
         .map(|o| format!("req={} ok={} at={}", o.req, o.ok, o.at))
         .collect();
-    (fingerprint(name, &p, obs), keys)
+    (fingerprint(&p, obs), keys)
 }
 
 #[test]
 fn rpc_outcome_order_is_driver_invariant_and_time_sorted() {
-    let (serial, serial_keys) = run_outcome_order(Box::new(SerialDriver));
-    let (parallel, parallel_keys) = run_outcome_order(Box::new(ParallelDriver::default()));
-    serial.assert_matches(&parallel);
-    assert_eq!(serial_keys, parallel_keys);
+    let (serial, serial_keys) = run_outcome_order(None);
+    let (permuted, permuted_keys) = run_outcome_order(Some(1));
+    serial.assert_matches(&permuted);
+    assert_eq!(serial_keys, permuted_keys);
     assert!(
         serial_keys.windows(2).all(|w| w[0] <= w[1]),
         "outcomes must be sorted by (at, req): {serial_keys:?}"

@@ -197,3 +197,100 @@ fn federation_topology_survives_base_restart() {
         assert_eq!(node.receiver.lease_holder(id), Some(a_node));
     }
 }
+
+/// One federated run for the cross-order check: replicated halls with a
+/// directory parent, a logged draw, a crash → restart of hall B, a roam
+/// into the rebooted hall and a federated lookup entered there.
+/// `permute` runs each epoch's cells in the order seeded by it
+/// ([`Platform::permute_cells`]) instead of rank order. Returns the
+/// trace digest, the journal digest and a few end-state facts.
+fn federated_run(permute: Option<u64>) -> (u64, u64, Vec<String>) {
+    let mut w = ProductionHalls::build(53);
+    if let Some(order_seed) = permute {
+        w.platform.permute_cells(order_seed);
+    }
+    w.platform.sim.trace.set_logging(true);
+    w.platform.federate_bases(w.base_a, w.base_b);
+    w.platform.set_directory_parent(w.base_b, w.base_a);
+    w.platform.pump(10 * SEC);
+    w.platform.rpc_with(
+        w.base_a,
+        w.robot,
+        "operator:1",
+        "DrawingService",
+        "drawLine",
+        vec![0, 0, 8, 8],
+        InvocationSemantics::AtLeastOnce,
+    );
+    let provider = w.platform.base(w.base_a).node;
+    w.platform.register_service(
+        w.base_a,
+        ServiceItem::new("paint", "sprayer", provider.0),
+        3_600 * SEC,
+    );
+    w.platform.pump(2 * SEC);
+    w.platform.crash_base(w.base_b);
+    w.platform.pump(SEC);
+    w.platform.restart_base(w.base_b);
+    w.platform.move_node(w.robot, IN_HALL_B);
+    w.platform.pump(20 * SEC);
+    w.platform
+        .fed_lookup(w.base_b, ServiceQuery::of_type("paint"));
+    w.platform.pump(2 * SEC);
+
+    let node = w.platform.node(w.robot);
+    let mut facts: Vec<String> = node
+        .receiver
+        .installed_ids()
+        .into_iter()
+        .map(|id| format!("{id} leased by {:?}", node.receiver.lease_holder(&id)))
+        .collect();
+    facts.extend(
+        w.platform
+            .take_rpc_outcomes()
+            .into_iter()
+            .map(|o| format!("rpc req={} ok={} at={}", o.req, o.ok, o.at)),
+    );
+    facts.extend(
+        w.platform
+            .take_discoveries(w.base_b)
+            .into_iter()
+            .map(|e| format!("{e:?}")),
+    );
+    for base in [w.base_a, w.base_b] {
+        let b = w.platform.base(base);
+        facts.push(format!("{} movements={}", b.name, b.store.len()));
+    }
+    (
+        w.platform.trace_digest(),
+        w.platform.journal_digest(),
+        facts,
+    )
+}
+
+/// The federated fabric (anti-entropy, handoff adoption, directory
+/// routing, restart re-wiring) must not depend on the order an epoch's
+/// node cells run in: a permuted run is byte-identical to a rank-order
+/// one.
+#[test]
+fn federation_is_cell_order_invariant() {
+    let (trace, journal, facts) = federated_run(None);
+    let (p_trace, p_journal, p_facts) = federated_run(Some(7));
+    assert_eq!(
+        facts, p_facts,
+        "end-state facts diverged across cell orders"
+    );
+    assert_eq!(trace, p_trace, "trace digest diverged across cell orders");
+    assert_eq!(
+        journal, p_journal,
+        "journal digest diverged across cell orders"
+    );
+    assert!(
+        facts.iter().any(|f| f.contains("leased by")),
+        "the run adapted the robot: {facts:?}"
+    );
+    assert!(
+        facts.iter().any(|f| f.contains("FedLookupDone")),
+        "the federated lookup completed: {facts:?}"
+    );
+}

@@ -1,5 +1,5 @@
 //! Invocation-semantics matrix (DESIGN.md §17): every semantics ×
-//! every loss level × both drivers, on the real platform.
+//! every loss level × both cell orders, on the real platform.
 //!
 //! For each cell of the matrix the world is identical — same seed,
 //! same topology, same call script — and the assertions are the
@@ -10,13 +10,13 @@
 //! * **at-least-once** — every request executes at least once under
 //!   bounded loss (the backoff schedule out-lasts the loss streaks
 //!   these seeds produce);
-//! * **both drivers** — byte-identical network traces, journals, and
-//!   outcome streams, because retry timers, backoff, and dedup are all
-//!   functions of simulated time and the link RNG, never of the
-//!   scheduler.
+//! * **both cell orders** — byte-identical network traces, journals,
+//!   and outcome streams, because retry timers, backoff, and dedup are
+//!   all functions of simulated time and the link RNG, never of the
+//!   order the node cells of an epoch run in.
 
 use pmp::core::rpc::InvocationSemantics;
-use pmp::core::{BaseId, Driver, MobId, ParallelDriver, Platform, SerialDriver};
+use pmp::core::{BaseId, MobId, Platform};
 use pmp::net::{LinkModel, Position};
 use pmp::vm::perm::Permissions;
 
@@ -48,14 +48,13 @@ struct CellReport {
     dedup_cap: usize,
 }
 
-fn run_cell(
-    seed: u64,
-    loss: f64,
-    sem: InvocationSemantics,
-    driver: Box<dyn Driver>,
-) -> CellReport {
+/// `permute` runs each epoch's cells in the order seeded by it
+/// ([`Platform::permute_cells`]) instead of rank order.
+fn run_cell(seed: u64, loss: f64, sem: InvocationSemantics, permute: Option<u64>) -> CellReport {
     let (mut p, base, robot) = build_world(seed, loss);
-    p.set_driver(driver);
+    if let Some(order_seed) = permute {
+        p.permute_cells(order_seed);
+    }
     p.sim.trace.set_logging(true);
     p.pump(3 * SEC);
 
@@ -105,11 +104,11 @@ const SEMANTICS: [InvocationSemantics; 3] = [
 fn semantics_matrix_holds_under_both_drivers() {
     for sem in SEMANTICS {
         for loss in LOSSES {
-            let serial = run_cell(402, loss, sem, Box::new(SerialDriver));
-            let parallel = run_cell(402, loss, sem, Box::new(ParallelDriver::default()));
+            let serial = run_cell(402, loss, sem, None);
+            let permuted = run_cell(402, loss, sem, Some(1));
             assert_eq!(
-                serial, parallel,
-                "{sem} at {loss} loss diverged across drivers"
+                serial, permuted,
+                "{sem} at {loss} loss diverged across cell orders"
             );
 
             // The dedup table never grows past its bound.
@@ -155,7 +154,7 @@ fn semantics_matrix_holds_under_both_drivers() {
 #[test]
 fn lossless_runs_execute_every_call_exactly_once() {
     for sem in SEMANTICS {
-        let r = run_cell(402, 0.0, sem, Box::new(SerialDriver));
+        let r = run_cell(402, 0.0, sem, None);
         assert_eq!(
             r.executions,
             vec![1; CALLS as usize],
@@ -172,7 +171,7 @@ fn retries_actually_happen_under_loss() {
     // 50 % loss the at-least-once run must show duplicate executions
     // (that is its contract), and the at-most-once run must show
     // dedup-table hits instead.
-    let alo = run_cell(402, 0.50, InvocationSemantics::AtLeastOnce, Box::new(SerialDriver));
+    let alo = run_cell(402, 0.50, InvocationSemantics::AtLeastOnce, None);
     let total: u32 = alo.executions.iter().sum();
     assert!(
         total > CALLS as u32,
@@ -266,5 +265,38 @@ fn at_most_once_survives_base_crash_without_reexecution() {
     }
     // The platform kept retrying after restart: outstanding calls
     // resolved one way or the other.
+    assert_eq!(p.base(base).rpc.outstanding(), 0);
+}
+
+#[test]
+fn retransmitting_call_issued_at_the_crash_instant_survives_restart() {
+    // Write-ahead: the call's `rpc.calls` issue record is committed
+    // before its first frame leaves, so a base that loses power in the
+    // same instant still knows the call after restart — it stays
+    // outstanding, its reply resolves it, and it ran exactly once.
+    let (mut p, base, robot) = build_world(402, 0.0);
+    p.pump(3 * SEC);
+    let req = p.rpc_with(
+        base,
+        robot,
+        "operator:1",
+        "DrawingService",
+        "moveTo",
+        vec![7, 7],
+        InvocationSemantics::AtLeastOnce,
+    );
+    p.crash_base(base);
+    p.restart_base(base);
+    assert_eq!(
+        p.base(base).rpc.outstanding(),
+        1,
+        "the call was lost with the uncommitted batch"
+    );
+    p.pump(30 * SEC);
+    let outcomes = p.take_rpc_outcomes();
+    assert_eq!(outcomes.len(), 1, "{outcomes:?}");
+    assert_eq!(outcomes[0].req, req);
+    assert!(outcomes[0].ok, "{outcomes:?}");
+    assert_eq!(p.node(robot).rpc_server.executions(req), 1);
     assert_eq!(p.base(base).rpc.outstanding(), 0);
 }

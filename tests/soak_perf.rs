@@ -44,12 +44,12 @@ fn red_repro_is_minimal() {
     );
 }
 
-/// Red under both drivers: the injected 2× regression pushes the RPC
+/// Red in both cell orders: the injected 2× regression pushes the RPC
 /// round-trip to 4× the link baseline, over the oracle's 3× ceiling.
 #[test]
 fn red_repro_trips_the_p99_oracle_under_both_drivers() {
     let sc = load_red();
-    for driver in [DriverKind::Serial, DriverKind::Parallel] {
+    for driver in [DriverKind::Serial, DriverKind::Permuted] {
         let report = exec::run(&sc, driver);
         assert!(
             report

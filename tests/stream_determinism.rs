@@ -1,17 +1,15 @@
-//! Cross-driver determinism of the rev stream (pmp-stream): the delta
+//! Cell-order determinism of the rev stream (pmp-stream): the delta
 //! sequence every subscriber observes — revs, event kinds, and the
-//! exact bytes — must be identical under the serial and parallel epoch
-//! drivers, including across a crash → restart boundary where cursors
-//! go through forced snapshot resync.
+//! exact bytes — must be identical whether each epoch's node cells run
+//! in rank order or in a seeded permutation, including across a crash
+//! → restart boundary where cursors go through forced snapshot resync.
 //!
 //! The test also closes the loop semantically: a mirror `MovementStore`
 //! built purely from drained stream events must converge to the
 //! publisher's state digest at every barrier.
 
 use pmp::core::rpc::InvocationSemantics;
-use pmp::core::{
-    Driver, ParallelDriver, Platform, ProductionHalls, SerialDriver, StreamEvent, StreamSub,
-};
+use pmp::core::{Platform, ProductionHalls, StreamEvent, StreamSub};
 use pmp::durable::Durable;
 use pmp::store::MovementStore;
 use pmp::telemetry::Fnv64;
@@ -63,10 +61,14 @@ fn drain_all(
     }
 }
 
-fn run_stream(driver: Box<dyn Driver>) -> StreamRun {
-    let name = driver.name();
+/// `permute` runs each epoch's cells in the order seeded by it
+/// ([`Platform::permute_cells`]) instead of rank order.
+fn run_stream(permute: Option<u64>) -> StreamRun {
     let mut w = ProductionHalls::build(23);
-    w.platform.set_driver(driver);
+    if let Some(order_seed) = permute {
+        w.platform.permute_cells(order_seed);
+    }
+    let name = w.platform.driver_name();
     let base_a = w.base_a;
     let subs: Vec<(String, StreamSub)> = NAMESPACES
         .iter()
@@ -100,7 +102,7 @@ fn run_stream(driver: Box<dyn Driver>) -> StreamRun {
     );
 
     // Crash → restart: cursors are force-resynced; the drained sequence
-    // after restart must start with snapshots, identically per driver.
+    // after restart must start with snapshots, identically in either cell order.
     w.platform.crash_base(base_a);
     w.platform.pump(2 * SEC);
     drain_all(&mut w.platform, &subs, &mut log, &mut mirror); // crashed: drains empty
@@ -109,7 +111,7 @@ fn run_stream(driver: Box<dyn Driver>) -> StreamRun {
     drain_all(&mut w.platform, &subs, &mut log, &mut mirror);
 
     // A late subscriber bootstraps the full history (log or snapshot)
-    // — also identically per driver.
+    // — also identically in either cell order.
     let late = w.platform.subscribe(base_a, "store.movements");
     let mut late_mirror = MovementStore::new();
     for ev in w.platform.drain_updates(late) {
@@ -133,12 +135,12 @@ fn run_stream(driver: Box<dyn Driver>) -> StreamRun {
 
 #[test]
 fn subscriber_streams_are_driver_invariant() {
-    let serial = run_stream(Box::new(SerialDriver));
-    let parallel = run_stream(Box::new(ParallelDriver { threads: 3 }));
+    let serial = run_stream(None);
+    let permuted = run_stream(Some(3));
     assert_eq!(
-        serial.log, parallel.log,
+        serial.log, permuted.log,
         "{} vs {} subscriber event sequences diverged",
-        serial.driver, parallel.driver
+        serial.driver, permuted.driver
     );
     // The run exercised all three stream kinds: ordinary deltas, the
     // forced post-restart resync, and a late bootstrap.
@@ -153,7 +155,7 @@ fn subscriber_streams_are_driver_invariant() {
 
 #[test]
 fn serial_stream_runs_are_repeatable() {
-    let a = run_stream(Box::new(SerialDriver));
-    let b = run_stream(Box::new(SerialDriver));
+    let a = run_stream(None);
+    let b = run_stream(None);
     assert_eq!(a.log, b.log);
 }

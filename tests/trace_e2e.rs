@@ -1,13 +1,13 @@
 //! End-to-end tracing tests: one MIDAS publish on a three-hall world
 //! reconstructs as a single causal span tree (publish → sign → ship →
-//! verify → weave → first interception), byte-identically across the
-//! serial and parallel execution drivers, with the flight recorder
+//! verify → weave → first interception), byte-identically in rank and
+//! in permuted cell order, with the flight recorder
 //! surviving a base crash and riding along in `.repro` artifacts.
 
 use pmp::core::rpc::InvocationSemantics;
 use pmp::chaos::script::{CatalogEntry, ExtKind, Op, Scenario, Step, Topology};
 use pmp::chaos::{exec, repro, DriverKind};
-use pmp::core::{BaseId, MobId, ParallelDriver, Platform, SerialDriver};
+use pmp::core::{BaseId, MobId, Platform};
 use pmp::net::{LinkModel, Position};
 use pmp::vm::perm::{Permission, Permissions};
 
@@ -16,17 +16,16 @@ const SEC: u64 = 1_000_000_000;
 /// Three halls 150 m apart, one base each (80 m radios, wired
 /// backhaul), one robot parked in each hall — the chaos executor's
 /// world shape, built directly so the tests can reach the collector.
-fn three_halls(seed: u64, loss: f64, parallel: bool) -> (Platform, Vec<BaseId>, Vec<MobId>) {
+/// `permuted` runs each epoch's cells in a seeded random order.
+fn three_halls(seed: u64, loss: f64, permuted: bool) -> (Platform, Vec<BaseId>, Vec<MobId>) {
     let link = if loss == 0.0 {
         LinkModel::ideal()
     } else {
         LinkModel::lossy(loss)
     };
     let mut p = Platform::with_link(seed, link);
-    if parallel {
-        p.set_driver(Box::new(ParallelDriver { threads: 3 }));
-    } else {
-        p.set_driver(Box::new(SerialDriver));
+    if permuted {
+        p.permute_cells(3);
     }
     p.set_tracing(true);
 
@@ -145,8 +144,8 @@ fn one_publish_reconstructs_as_one_span_tree() {
 
 /// One full run's deterministic artifacts: span digest plus the
 /// rendered critical path of the publish trace.
-fn run_artifacts(seed: u64, loss: f64, parallel: bool) -> (u64, String) {
-    let (mut p, bases, nodes) = three_halls(seed, loss, parallel);
+fn run_artifacts(seed: u64, loss: f64, permuted: bool) -> (u64, String) {
+    let (mut p, bases, nodes) = three_halls(seed, loss, permuted);
     publish_and_intercept(&mut p, &bases, &nodes);
     let id = publish_trace_id(&mut p);
     let path = p.render_critical_path(id);
@@ -154,18 +153,18 @@ fn run_artifacts(seed: u64, loss: f64, parallel: bool) -> (u64, String) {
 }
 
 #[test]
-fn serial_and_parallel_drivers_trace_identically() {
+fn serial_and_permuted_orders_trace_identically() {
     let (ds, ps) = run_artifacts(21, 0.0, false);
     let (dp, pp) = run_artifacts(21, 0.0, true);
-    assert_eq!(ds, dp, "span digest diverged across drivers");
-    assert_eq!(ps, pp, "critical path diverged across drivers:\n{ps}\nvs\n{pp}");
+    assert_eq!(ds, dp, "span digest diverged across cell orders");
+    assert_eq!(ps, pp, "critical path diverged across cell orders:\n{ps}\nvs\n{pp}");
 }
 
 #[test]
 fn drivers_trace_identically_under_twenty_percent_loss() {
     let (ds, ps) = run_artifacts(33, 0.2, false);
     let (dp, pp) = run_artifacts(33, 0.2, true);
-    assert_eq!(ds, dp, "lossy span digest diverged across drivers");
+    assert_eq!(ds, dp, "lossy span digest diverged across cell orders");
     assert_eq!(ps, pp, "lossy critical path diverged:\n{ps}\nvs\n{pp}");
 }
 
@@ -243,11 +242,11 @@ fn chaos_cross_driver_span_digests_agree() {
             cross.violations
         );
         assert_eq!(
-            cross.serial.span_digest, cross.parallel.span_digest,
+            cross.serial.span_digest, cross.permuted.span_digest,
             "loss={loss}‰: span digest diverged"
         );
         assert_eq!(
-            cross.serial.flight, cross.parallel.flight,
+            cross.serial.flight, cross.permuted.flight,
             "loss={loss}‰: flight dumps diverged"
         );
     }
